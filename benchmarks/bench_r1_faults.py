@@ -37,7 +37,7 @@ def test_executor_fault_free_baseline(benchmark):
 
 
 def test_executor_empty_plan_overhead(benchmark):
-    """Empty plan must ride the plain loop — same makespan, noise-level cost."""
+    """Empty plan must run as fault-free — same makespan, noise-level cost."""
     plain = _executor().run()
     result = benchmark(lambda: _executor(faults=FaultPlan.empty()).run())
     assert result.stats.makespan == plain.stats.makespan

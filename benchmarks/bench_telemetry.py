@@ -2,16 +2,19 @@
 """Telemetry overhead benchmark: the disabled path must stay free.
 
 The telemetry layer's core promise is that *not* using it costs
-(essentially) nothing: the greedy executor only dispatches to its
-instrumented loop when a timeline is attached, and the dense executor
-feeds telemetry from its event buckets strictly after the timed
-simulation.  This script measures both sides of that promise:
+(essentially) nothing: the greedy executor's one event loop skips each
+recording site on a ``None`` check, and the dense executor feeds
+telemetry from its event buckets strictly after the timed simulation.
+This script measures both sides of that promise:
 
 * **disabled overhead** — the same workload through each engine with
   ``telemetry=None``, interleaved A/B against a second identical
   disabled pass; the A/B spread is the noise floor that makes the gate
   honest (a machine whose identical runs differ by 3% cannot certify
-  a 2% bound, and the gate widens accordingly);
+  a 2% bound, and the gate widens accordingly).  Both passes run the
+  same code, so the gate catches noise and drift, not the cost of the
+  greedy loop's ``None`` checks (``bench_dense.py``'s greedy timings
+  measure the loop itself);
 * **enabled cost** — the same workload with a
   :class:`~repro.telemetry.timeline.MetricsTimeline` attached, reported
   for the docs (no gate: enabled runs are opt-in diagnostics);

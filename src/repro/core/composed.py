@@ -136,10 +136,10 @@ def simulate_composed(
     (both tiers).
     """
     from repro.core.assignment import steal_rebalance
-    from repro.core.racing import split_policy
+    from repro.core.racing import resolve_policy
 
     program = program or CounterProgram()
-    exec_policy, recovery = split_policy(policy, recovery)
+    exec_policy = resolve_policy(policy)
     killing = kill_and_label(host, c)
     if q is None:
         q = max(1, math.isqrt(int(round(host.d_ave))))

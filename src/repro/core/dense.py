@@ -96,9 +96,6 @@ _MSG = 1
 def resolve_engine(
     engine: str,
     *,
-    faults=None,
-    policy=None,
-    forced_dead=None,
     trace=None,
     multicast: bool = False,
     tie_seed=None,
@@ -114,16 +111,14 @@ def resolve_engine(
     Relabelled guests (``dep_map``/``col_label``, i.e. rings) are *not*
     a fallback reason: the dense skeleton resolves arbitrary dependency
     maps through the same watermark indices as the line adjacency.
-    Neither are faults, recovery policies or forced-dead positions any
-    more: faulted runs take the segmented
+    Neither are fault plans: faulted runs take the segmented
     :class:`~repro.core.dense_faults.FaultedDenseExecutor` tier (dense
-    between fault boundaries, bit-identical to greedy), and
-    ``forced_dead`` only shapes the assignment, which both tiers
-    consume as-is.  The remaining fallback reasons are tracing,
-    multicast streams, scheduling jitter (``tie_seed``) and
-    redundant-issue racing (``exec_policy``): raced subscriptions make
-    delivery order value-dependent on which replica wins, which the
-    dense skeleton's single-stream watermarks cannot express.  The
+    between fault boundaries, bit-identical to greedy).  The fallback
+    reasons are tracing, multicast streams, scheduling jitter
+    (``tie_seed``) and redundant-issue racing (``exec_policy``): raced
+    subscriptions make delivery order value-dependent on which replica
+    wins, which the dense skeleton's single-stream watermarks cannot
+    express.  The
     *stealing* half of an :class:`~repro.core.racing.ExecPolicy` never
     forces greedy — it is a pre-execution assignment rebalance both
     tiers consume as-is.
@@ -132,7 +127,6 @@ def resolve_engine(
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "greedy":
         return "greedy"
-    del faults, policy, forced_dead  # dense-capable since tier 3
     reasons = []
     if trace is not None:
         reasons.append("tracing")
@@ -978,8 +972,8 @@ class DenseExecutor:
     ) -> None:
         """Feed bucket events in ``[start, stop)`` into timeline ``tl``.
 
-        Produces exactly the per-step counters the instrumented greedy
-        loop records: a ``_DONE`` at step ``now`` is one pebble
+        Produces exactly the per-step counters the greedy loop records
+        on a fault-free run: a ``_DONE`` at step ``now`` is one pebble
         completion (and one message launch per subscriber of that
         column); a ``_MSG`` at step ``now`` is one link arrival whose
         injection slot was ``now - delay`` of the link it arrived on
@@ -1083,62 +1077,51 @@ def build_executor(
     program: Program,
     steps: int,
     bandwidth: int | None = None,
+    checkpoint_stride: int | None = None,
     **greedy_kwargs,
 ):
     """Resolve the tier and construct the matching executor.
 
     ``greedy_kwargs`` are the feature knobs (``faults``, ``policy``,
-    ``trace``, ...).  Tracing, multicast and ``tie_seed`` force (or,
-    under ``engine='auto'``, silently select) the greedy engine.
+    ``trace``, ...).  Tracing, multicast, ``tie_seed`` and racing force
+    (or, under ``engine='auto'``, silently select) the greedy engine.
     ``telemetry``, ``dep_map``/``col_label`` and fault plans do not:
     both tiers support an attached
     :class:`~repro.telemetry.timeline.MetricsTimeline` and relabelled
     (ring) guests, and a non-empty ``faults`` plan on the dense tier
     constructs the segmented
     :class:`~repro.core.dense_faults.FaultedDenseExecutor`.
+    ``checkpoint_stride`` reaches both dense tiers; the greedy engine
+    takes no checkpoints.
     """
     from repro.core.executor import GreedyExecutor
 
     resolved = resolve_engine(
         engine,
-        faults=greedy_kwargs.get("faults"),
-        policy=greedy_kwargs.get("policy"),
-        forced_dead=greedy_kwargs.get("forced_dead"),
         trace=greedy_kwargs.get("trace"),
         multicast=greedy_kwargs.get("multicast", False),
         tie_seed=greedy_kwargs.get("tie_seed"),
         exec_policy=greedy_kwargs.get("exec_policy"),
     )
-    if resolved == "dense":
-        greedy_kwargs.pop("exec_policy", None)  # stealing already applied
-        faults = greedy_kwargs.get("faults")
-        if faults is not None and not faults.is_empty:
-            from repro.core.dense_faults import FaultedDenseExecutor
-
-            return FaultedDenseExecutor(
-                host,
-                assignment,
-                program,
-                steps,
-                bandwidth,
-                dep_map=greedy_kwargs.get("dep_map"),
-                col_label=greedy_kwargs.get("col_label"),
-                telemetry=greedy_kwargs.get("telemetry"),
-                faults=faults,
-                policy=greedy_kwargs.get("policy"),
-                reassign=greedy_kwargs.get("reassign"),
-            )
-        return DenseExecutor(
-            host,
-            assignment,
-            program,
-            steps,
-            bandwidth,
-            dep_map=greedy_kwargs.get("dep_map"),
-            col_label=greedy_kwargs.get("col_label"),
-            telemetry=greedy_kwargs.get("telemetry"),
+    if resolved == "greedy":
+        return GreedyExecutor(
+            host, assignment, program, steps, bandwidth, **greedy_kwargs
         )
-    greedy_kwargs.pop("forced_dead", None)
-    return GreedyExecutor(
-        host, assignment, program, steps, bandwidth, **greedy_kwargs
+    dense_kwargs = dict(
+        dep_map=greedy_kwargs.get("dep_map"),
+        col_label=greedy_kwargs.get("col_label"),
+        telemetry=greedy_kwargs.get("telemetry"),
+        checkpoint_stride=checkpoint_stride,
     )
+    faults = greedy_kwargs.get("faults")
+    if faults is not None and not faults.is_empty:
+        from repro.core.dense_faults import FaultedDenseExecutor
+
+        return FaultedDenseExecutor(
+            host, assignment, program, steps, bandwidth,
+            faults=faults,
+            policy=greedy_kwargs.get("policy"),
+            reassign=greedy_kwargs.get("reassign"),
+            **dense_kwargs,
+        )
+    return DenseExecutor(host, assignment, program, steps, bandwidth, **dense_kwargs)

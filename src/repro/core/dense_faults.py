@@ -18,7 +18,7 @@ incremental re-simulation needs.
 
 Bit-identity with the greedy engine is preserved the same way the
 fault-free tier preserves it: the bucket sweep replays the exact
-``(time, seq)`` event order of :meth:`GreedyExecutor._run_faulty`,
+``(time, seq)`` event order of a fault run of :meth:`GreedyExecutor.run`,
 including the per-destination injection order of faulty sends, the
 one-shot drop consumption order, the per-directed-link monotone arrival
 clamp, retry re-subscription order, and recovery epoch restarts.
@@ -239,7 +239,7 @@ class FaultedDenseExecutor(DenseExecutor):
 
     # -- the segmented loop ----------------------------------------------
     def _run_faulted(self):
-        """Replay of ``GreedyExecutor._run_faulty`` on dense machinery.
+        """Replay of a fault run of ``GreedyExecutor.run`` on dense machinery.
 
         Every event the greedy engine would push is pushed here at the
         same time, in the same sequence order (all pushes are strictly

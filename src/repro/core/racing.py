@@ -12,8 +12,8 @@ Redundancy" and "A new analysis of Work Stealing with latency"
   answer wins (advances the watermark) and the losers are cancelled —
   at the source when the subscriber is already past the pebble, and at
   every relay hop otherwise, so abandoned messages stop consuming link
-  slots (:class:`~repro.core.executor.GreedyExecutor` implements the
-  raced loops; racing forces the greedy tier via
+  slots (:meth:`~repro.core.executor.GreedyExecutor.run` implements
+  the race; racing forces the greedy tier via
   :func:`repro.core.dense.resolve_engine`).
 * **stealing** — a deterministic, seeded pre-execution rebalance of
   the assignment: idle/underloaded hosts steal queued guest columns
@@ -26,20 +26,17 @@ Redundancy" and "A new analysis of Work Stealing with latency"
 Both compose: ``"racing+stealing"`` rebalances first, then races the
 replicated columns of the rebalanced assignment.
 
-The frontends (:func:`~repro.core.overlap.simulate_overlap`,
+The front-ends (:func:`~repro.core.overlap.simulate_overlap`,
 :func:`~repro.core.ring.simulate_ring`,
-:func:`~repro.core.overlap.simulate_overlap_on_graph`) accept these
-via ``policy=`` — a name string, an :class:`ExecPolicy`, or (for
-backward compatibility) a :class:`~repro.netsim.faults.RecoveryPolicy`
-instance, which :func:`split_policy` routes to the recovery machinery
-instead.
+:func:`~repro.core.composed.simulate_composed` and their graph-host
+variants) accept these via ``policy=`` — a name string or an
+:class:`ExecPolicy`.  Recovery knobs
+(:class:`~repro.netsim.faults.RecoveryPolicy`) go to ``recovery=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.netsim.faults import RecoveryPolicy
 
 #: Default replication factor of a raced subscription: the nearest two
 #: owners.  More copies chase diminishing returns while doubling the
@@ -119,27 +116,7 @@ def resolve_policy(spec) -> ExecPolicy:
                 f"known: {sorted(set(POLICIES))}"
             ) from None
     raise TypeError(
-        f"policy must be None, a name string or an ExecPolicy, "
-        f"got {type(spec).__name__}"
+        f"policy must be None, a name string or an ExecPolicy, got "
+        f"{type(spec).__name__} (recovery knobs go to recovery=)"
     )
 
-
-def split_policy(policy, recovery):
-    """Resolve the frontends' dual-duty ``policy=`` keyword.
-
-    Historically ``policy=`` carried the
-    :class:`~repro.netsim.faults.RecoveryPolicy`; it now names the
-    execution policy, with ``recovery=`` as the explicit recovery knob.
-    A ``RecoveryPolicy`` instance passed as ``policy`` keeps its old
-    meaning, so every existing call site works unchanged.
-
-    Returns ``(exec_policy, recovery_policy_or_None)``.
-    """
-    if isinstance(policy, RecoveryPolicy):
-        if recovery is not None:
-            raise ValueError(
-                "policy= got a RecoveryPolicy while recovery= is also set; "
-                "pass the recovery knobs once, via recovery="
-            )
-        return SINGLE, policy
-    return resolve_policy(policy), recovery

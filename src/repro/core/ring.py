@@ -117,17 +117,15 @@ def simulate_ring(
     standard array dependency structure.  ``policy`` names the
     execution policy (see :data:`~repro.core.racing.POLICIES`:
     ``racing`` races replicated columns on the greedy engine,
-    ``stealing`` rebalances the assignment first; a
-    :class:`~repro.netsim.faults.RecoveryPolicy` passed here keeps its
-    historical ``recovery=`` meaning).  ``telemetry`` (a
+    ``stealing`` rebalances the assignment first).  ``telemetry`` (a
     :class:`~repro.telemetry.timeline.MetricsTimeline`) is supported on
     both tiers.
     """
     from repro.core.assignment import steal_rebalance
-    from repro.core.racing import split_policy
+    from repro.core.racing import resolve_policy
 
     program = program or CounterProgram()
-    exec_policy, recovery = split_policy(policy, recovery)
+    exec_policy = resolve_policy(policy)
     m = m or host.n
     if m < 3:
         raise ValueError("a ring needs at least 3 nodes")

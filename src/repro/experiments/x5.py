@@ -102,13 +102,13 @@ def _digest(value_digests: dict) -> str:
 def _edit_eval(cfg: dict, resume_from=None, checkpoint_stride=None):
     host = HostArray.uniform(cfg["n"])
     plan = FaultPlan.from_spec(cfg["faults"])
-    policy = RecoveryPolicy(**cfg["policy"])
+    recovery = RecoveryPolicy(**cfg["policy"])
     res = simulate_overlap(
         host,
         steps=cfg["steps"],
         min_copies=2,
         faults=plan,
-        policy=policy,
+        recovery=recovery,
         verify=cfg["verify"],
         checkpoint_stride=checkpoint_stride,
         resume_from=resume_from,

@@ -36,10 +36,10 @@ answers "why":
     execution counters against the runner's :class:`SweepProfile`.
 
 Telemetry is strictly opt-in and observational: with no
-:class:`MetricsTimeline` attached, both executors take their pre-existing
-hot paths unchanged (the greedy plain loop and the dense bucket replay
-contain no telemetry branches), and an attached timeline never alters
-event order — results stay bit-identical either way
+:class:`MetricsTimeline` attached, the dense tier's timed loop is
+untouched and the greedy loop skips each recording site on one ``None``
+check, and an attached timeline never alters event order — results
+stay bit-identical either way
 (``benchmarks/bench_telemetry.py`` is the overhead gate).
 """
 

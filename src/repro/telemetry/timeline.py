@@ -4,8 +4,8 @@ A :class:`MetricsTimeline` is the sink both execution tiers feed while
 a run is in flight:
 
 * :class:`~repro.core.executor.GreedyExecutor` records from inside its
-  event loop (a dedicated instrumented copy of the plain loop, so the
-  un-instrumented hot path keeps zero telemetry branches);
+  one event loop, which every mode shares (without a timeline each
+  recording site costs one ``None`` check and records nothing);
 * :class:`~repro.core.dense.DenseExecutor` replays its time-bucketed
   event log through the timeline *after* the run (the bucket list **is**
   the full event history, so dense telemetry costs nothing during the

@@ -74,7 +74,7 @@ def _run_faulted(cfg: dict, resume_from=None, stride=8, telemetry=None):
         steps=cfg["steps"],
         min_copies=2,
         faults=FaultPlan.from_spec(cfg["faults"]),
-        policy=RecoveryPolicy(**cfg["policy"]),
+        recovery=RecoveryPolicy(**cfg["policy"]),
         verify=cfg["verify"],
         telemetry=telemetry,
         checkpoint_stride=stride,

@@ -99,7 +99,7 @@ def test_faulted_capture_restore_roundtrip(scenario):
             steps=steps,
             min_copies=2,
             faults=plan,
-            policy=RecoveryPolicy(),
+            recovery=RecoveryPolicy(),
             verify=True,
             telemetry=telemetry,
             checkpoint_stride=stride,

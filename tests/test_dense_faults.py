@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import assign_databases
-from repro.core.dense import DenseExecutor, build_executor, resolve_engine
+from repro.core.dense import DenseExecutor, build_executor
 from repro.core.dense_faults import ExecutorCheckpoint, FaultedDenseExecutor
 from repro.core.executor import GreedyExecutor, SimulationDeadlock
 from repro.core.killing import kill_and_label
 from repro.core.overlap import simulate_overlap, simulate_overlap_on_graph
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram, get_program
-from repro.netsim.faults import FaultPlan, RecoveryPolicy
+from repro.netsim.faults import FaultPlan
 from repro.telemetry import MetricsTimeline
 from repro.topology.delays import scale_to_average, uniform_delays
 from repro.topology.generators import mesh_host, now_cluster_host, tree_host
@@ -258,11 +258,18 @@ def test_faulted_composed_engines_agree():
 
 
 def test_faulted_auto_resolves_dense():
+    host = _random_host(16, 2.0, 90)
+    assignment = assign_databases(kill_and_label(host), 1, min_copies=2)
     plan = FaultPlan().crash(3, 10).link_down(2, 5, 10)
-    assert resolve_engine("auto", faults=plan) == "dense"
-    assert resolve_engine("auto", faults=plan, policy=RecoveryPolicy()) == "dense"
+
+    def build(**kwargs):
+        return build_executor(
+            "auto", host, assignment, CounterProgram(), 8, faults=plan, **kwargs
+        )
+
+    assert isinstance(build(), FaultedDenseExecutor)
     # Greedy-only machinery still wins over faults.
-    assert resolve_engine("auto", faults=plan, tie_seed=3) == "greedy"
+    assert isinstance(build(tie_seed=3), GreedyExecutor)
 
 
 def test_build_executor_faulted_dispatch():

@@ -20,7 +20,6 @@ from repro.core.racing import (
     SINGLE,
     ExecPolicy,
     resolve_policy,
-    split_policy,
 )
 from repro.machine.host import HostArray
 from repro.netsim.faults import FaultPlan, RecoveryPolicy
@@ -71,16 +70,17 @@ def test_resolve_policy_unknown_name():
         resolve_policy("fastest")
 
 
-def test_split_policy_dispatch():
-    rp = RecoveryPolicy()
-    # Legacy route: a RecoveryPolicy passed as `policy` is a recovery.
-    exec_policy, recovery = split_policy(rp, None)
-    assert exec_policy is SINGLE and recovery is rp
-    # New route: strings and ExecPolicy are execution policies.
-    exec_policy, recovery = split_policy("racing", rp)
-    assert exec_policy.racing and recovery is rp
-    with pytest.raises(ValueError):
-        split_policy(rp, rp)
+def test_recovery_policy_as_policy_raises():
+    # Recovery knobs go to recovery=; policy= names the execution policy.
+    with pytest.raises(TypeError, match="recovery="):
+        resolve_policy(RecoveryPolicy())
+    host = HostArray.uniform(12)
+    with pytest.raises(TypeError, match="recovery="):
+        simulate_overlap(host, steps=4, policy=RecoveryPolicy())
+    res = simulate_overlap(
+        host, steps=4, policy="single", recovery=RecoveryPolicy()
+    )
+    assert res.verified
 
 
 def test_racing_forces_greedy_dense_refuses():
