@@ -2,10 +2,10 @@
 """Telemetry overhead benchmark: the disabled path must stay free.
 
 The telemetry layer's core promise is that *not* using it costs
-(essentially) nothing: the greedy executor's one event loop skips each
-recording site on a ``None`` check, and the dense executor feeds
-telemetry from its event buckets strictly after the timed simulation.
-This script measures both sides of that promise:
+(essentially) nothing: both executors record inline from their one
+loop — the greedy event loop and the dense timing loop — and skip each
+recording site on a ``None`` check when no timeline is attached.  This
+script measures both sides of that promise:
 
 * **disabled overhead** — the same workload through each engine with
   ``telemetry=None``, interleaved A/B against a second identical
@@ -13,8 +13,8 @@ This script measures both sides of that promise:
   honest (a machine whose identical runs differ by 3% cannot certify
   a 2% bound, and the gate widens accordingly).  Both passes run the
   same code, so the gate catches noise and drift, not the cost of the
-  greedy loop's ``None`` checks (``bench_dense.py``'s greedy timings
-  measure the loop itself);
+  loops' ``None`` checks (``bench_dense.py``'s timings measure the
+  loops themselves);
 * **enabled cost** — the same workload with a
   :class:`~repro.telemetry.timeline.MetricsTimeline` attached, reported
   for the docs (no gate: enabled runs are opt-in diagnostics);

@@ -8,8 +8,11 @@ Layering (bottom to top):
 * :mod:`assignment` — the recursive overlapped database assignment.
 * :mod:`executor`   — the greedy event-driven executor that runs *any*
   contiguous assignment on a host array (realises Theorem 1's schedule).
-* :mod:`dense`      — the fault-free fast-path tier (same semantics,
-  bit-identical results, no event heap) and the engine selection layer.
+* :mod:`dense`      — the dense tier's one timing loop (same semantics,
+  bit-identical results, integer state only; fault-free runs are its
+  zero-boundary case) and the engine selection layer.
+* :mod:`dense_faults` — fault plans on that loop: boundaries, recovery
+  handlers, deadlock diagnostics.
 * :mod:`schedule`   — the explicit ``s_t^(k)`` schedule and its
   recurrence (Theorems 1-3, symbolically).
 * :mod:`overlap`    — end-to-end algorithm OVERLAP (Theorems 2, 3, 6).

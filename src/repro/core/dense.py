@@ -1,24 +1,24 @@
-"""Dense fault-free execution tier.
+"""Dense execution tier: one timing skeleton for fault-free and faulted runs.
 
 :class:`DenseExecutor` runs the same simulation semantics as
 :class:`~repro.core.executor.GreedyExecutor` — same assignment, same
 greedy ``(t, column)`` scheduling rule, same pipelined-link timing model
-— but restructured for the common fault-free case, where the whole run
-is a pure function of ``(host, assignment, steps, bandwidth)``:
+— restructured as a replay of integer state:
 
-* **values and timing are decoupled.**  In a fault-free run every
-  replica of column ``c`` computes exactly the guest's pebble values,
-  and no scheduling decision ever reads a pebble *value* (the greedy
-  pick is by ``(t, c)``, link slots are assigned by injection time).
+* **values and timing are decoupled.**  No scheduling decision ever
+  reads a pebble *value* (the greedy pick is by ``(t, c)``, link slots
+  are assigned by injection time, faults act on times), and every
+  replica of column ``c`` computes exactly the guest's pebble values.
   The dense tier therefore computes all values/digests once with the
   row-vectorised guest reference (``m`` columns per numpy op instead of
   one scalar ``mix4`` per replica pebble) and runs a separate *timing
   skeleton* that moves only integers.
-* **no event heap.**  Every event in the greedy engine is pushed at a
-  strictly later time than the one being processed, so a flat
-  time-indexed bucket list replayed in append order reproduces the
-  heap's ``(time, seq)`` order exactly — O(1) per event, no tuple
-  comparisons, no ``Event`` allocation.
+* **heap-keyed event buckets.**  Events live in per-time buckets keyed
+  by a min-heap of bucket times.  Every push lands at or after the time
+  being processed, so popping times in ascending order and each bucket
+  in append order replays the greedy heap's ``(time, seq)`` order
+  exactly — no per-event tuple comparisons, no ``Event`` allocation,
+  and no walk over empty stretches of time.
 * **array-shaped per-processor state.**  Each position keeps one flat
   *watermark array* ``W``: its own columns' completed rows first, then
   one slot per subscribed external column, then a virtual slot pinned
@@ -30,12 +30,24 @@ is a pure function of ``(host, assignment, steps, bandwidth)``:
   one vectorised numpy pass instead of a Python loop; ``argmin`` over
   the masked watermarks reproduces the scalar ``(t, column)``
   tie-breaking exactly.
-* **flat link state.**  Each directed link is three integers (current
-  slot, pebbles in that slot, injection count) in preallocated lists —
-  the :class:`~repro.netsim.links.LinkPipe` slot rule inlined — and
-  whole-stream sends to ``>= _VEC_MIN_SUBS`` subscribers assign their
-  link slots in closed form (injection ``j`` lands in slot
-  ``slot0 + (used0 + j) // bw``) instead of iterating the slot rule.
+* **flat link state.**  Each directed link is two integers (current
+  slot, pebbles in that slot) in preallocated lists, and one ``hop``
+  applies the :class:`~repro.netsim.links.LinkPipe` slot rule to them
+  for every injection.
+
+**Faults only add boundaries.**  These control arrays stay apart from
+the value payloads, and a fault plan acts on the control side alone.
+:class:`~repro.core.dense_faults.FaultedDenseExecutor` compiles its plan
+into boundary times (crashes, outage/jitter window edges, drop arm
+times); the same loop then also schedules crash, stream-check and
+watchdog events, consults the fault tables on faulty directed links,
+snapshots its state at every boundary, and hands the fault events to
+the subclass's recovery handlers.  A fault-free run is the
+zero-boundary case: none of those events is ever scheduled, and the
+loop keeps the greedy engine's fault-free conventions — every in-flight
+relay runs to its destination, an out-of-order delivery raises
+``AssertionError``, telemetry stamps a send at its link slot, and
+checkpoints have kind ``"dense"``.
 
 Because the skeleton replays the exact event order, the result is
 **bit-identical** to the greedy engine: same makespan, same per-replica
@@ -45,34 +57,34 @@ over the e1/e3/e5 parameter grids, over ring guests (``dep_map`` /
 ``col_label`` from :mod:`repro.core.ring`) and over graph hosts run
 through the Fact-3 embedding (whose per-assignment route delays are
 exactly the flat ``link_delays`` array of the embedded
-:class:`~repro.machine.host.HostArray` — so a fault-free
-``simulate_overlap_on_graph`` runs dense end to end).
+:class:`~repro.machine.host.HostArray`); ``tests/test_dense_faults.py``
+does the same under fault plans.
 
-The tier covers every fault-free topology: plain line arrays, ring
-guests (relabelled via ``dep_map``/``col_label``), and graph hosts
-after embedding.  Faulted runs take the segmented
-:class:`~repro.core.dense_faults.FaultedDenseExecutor` subclass (dense
-between fault boundaries, scalar handling only at fault/recovery
-events); only tracing, multicast streams and scheduling jitter
-(``tie_seed``) still take the greedy engine.  :func:`resolve_engine`
-encodes that selection rule for the ``engine="auto"`` front-ends.
-Telemetry is the one observability feature both tiers support: an
-attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed from
-the retained event buckets *after* the timed loop, so it never forces
-the greedy fallback and never perturbs dense timing.
+Only tracing, multicast streams, scheduling jitter (``tie_seed``) and
+redundant-issue racing still take the greedy engine;
+:func:`resolve_engine` encodes that selection rule for the
+``engine="auto"`` front-ends.  Telemetry is supported on both tiers: an
+attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed
+inline, call for call like the greedy loop (the only feed that sees
+drops), and costs one ``None`` check per site when detached.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.checkpoint import ExecutorCheckpoint
+from repro.delta import DeltaUnsupported
 from repro.machine.database import Database
 from repro.machine.guest import GuestArray
 from repro.machine.host import HostArray
 from repro.machine.mixing import mix2_v
 from repro.machine.programs import Program
+from repro.netsim.faults import LOST
 from repro.netsim.stats import SimStats, latencies_from_completions
 
 #: Engine names accepted by the simulation front-ends.
@@ -84,13 +96,16 @@ _FOLD_SEED = 0x243F6A8885A308D3  # fold_s seed (see repro.machine.mixing)
 #: path (one vectorised pass over the watermark array).  Below it the
 #: scalar loop wins on constant factors.
 _VEC_MIN_COLS = 32
-#: Whole-stream subscriber count above which link slots are assigned in
-#: closed form (numpy) instead of iterating the slot rule.
-_VEC_MIN_SUBS = 16
 
-# Bucket-event kinds.
+# Bucket-event kinds (the greedy engine's).  Only a faulted run
+# schedules the last five.
 _DONE = 0
 _MSG = 1
+_CRASH = 2
+_RESUME = 3
+_CHECK = 4
+_REQ = 5
+_WATCH = 6
 
 
 def resolve_engine(
@@ -151,12 +166,14 @@ def resolve_engine(
 
 
 class DenseExecutor:
-    """Fault-free fast-path executor (see module docstring).
+    """Dense-tier executor (see module docstring).
 
     Construction mirrors :class:`~repro.core.executor.GreedyExecutor`
     for the supported subset — including ``dep_map``/``col_label``
     relabelled guests — and :meth:`run` returns the same
-    :class:`~repro.core.executor.ExecResult`.
+    :class:`~repro.core.executor.ExecResult`.  This class runs the
+    fault-free case; :class:`~repro.core.dense_faults.FaultedDenseExecutor`
+    adds a fault plan to the same loop.
     """
 
     __slots__ = (
@@ -177,14 +194,18 @@ class DenseExecutor:
         "checkpoints",
         "first_top_t",
         "_resume_from",
+        "_layout",
+        "_epoch",
+        "_dead",
+        "_fault_log",
+        "_streams",
+        "_holders",
+        "_reassign_dead",
     )
 
-    def _expected_ckpt_kind(self) -> str:
-        """Checkpoint ``kind`` this executor's run path would capture —
-        and therefore the only kind it can restore.  The faulted
-        subclass answers per its compiled plan (an effect-free plan
-        falls through to the fault-free path)."""
-        return "dense"
+    #: Whether a fault plan has an effect inside the horizon (set by
+    #: the faulted subclass); False is the zero-boundary case.
+    _faulty = False
 
     def __init__(
         self,
@@ -227,10 +248,7 @@ class DenseExecutor:
                         raise ValueError(
                             f"dep_map[{c}] source {src} outside 1..{self.m}"
                         )
-        # Optional MetricsTimeline.  The dense loop never checks it: the
-        # bucket lists *are* the full event history (append-only), so an
-        # attached timeline is fed by a post-pass over them after the
-        # timed simulation — zero overhead inside the loop either way.
+        # Optional MetricsTimeline, fed inline by the timing loop.
         self.telemetry = telemetry
         if checkpoint_stride is not None and checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
@@ -251,29 +269,25 @@ class DenseExecutor:
         """Arm this (freshly constructed) executor to resume mid-run.
 
         The next :meth:`run` reconstitutes the snapshot's watermark
-        arrays, link-slot state and counters, seeds the event buckets
-        with the pending events, and replays only the suffix — finishing
-        bit-identically to an uninterrupted run, provided the
-        checkpoint's prefix is valid for this executor's config (the
-        caller's contract; :mod:`repro.delta` derives it from
-        blast-radius rules).  Horizon *extensions* are supported when
-        the snapshot predates ``first_top``; shrinks are not.
+        arrays, link-slot state, fault state and counters, seeds the
+        event buckets with the pending events, and replays only the
+        suffix — finishing bit-identically to an uninterrupted run,
+        provided the checkpoint's prefix is valid for this executor's
+        config (the caller's contract; :mod:`repro.delta` derives it
+        from blast-radius rules).  Horizon *extensions* are supported
+        when the snapshot predates ``first_top``; shrinks are not.
         Returns ``self`` for chaining.
         """
-        expected = self._expected_ckpt_kind()
+        expected = "faulted" if self._faulty else "dense"
         if checkpoint.kind != expected:
             # Signalled as DeltaUnsupported (not ValueError): a fault
             # edit can legitimately flip a config between the faulted
             # and effect-free paths, whose snapshots are incompatible —
             # the delta layer should fall back to a full recompute.
-            from repro.delta import DeltaUnsupported
-
             raise DeltaUnsupported(
                 f"cannot restore a {checkpoint.kind!r} checkpoint into "
                 f"{type(self).__name__} (expects {expected!r})"
             )
-        if checkpoint.steps < 1:
-            raise ValueError("checkpoint predates resume support (steps=0)")
         if checkpoint.steps > self.T:
             raise ValueError(
                 f"cannot restore a T={checkpoint.steps} checkpoint into a "
@@ -327,13 +341,74 @@ class DenseExecutor:
         self.subscribers = subscribers
         self._ext_cols = ext_cols
 
+    def _build_layout(self) -> None:
+        """(Re)build the per-position watermark arrays for the current
+        assignment into ``self._layout``.
+
+        The tuple is ``(W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of,
+        el_of, er_of, vec)``, each indexed by host position.  ``W_of[p]``
+        lays out the k own columns' completed rows, then one watermark
+        per subscribed external column (sorted; ``ext_idx[p]`` maps a
+        column to its slot), then a virtual slot pinned to ``T`` for
+        the array boundaries.  ``sl_of``/``sr_of[p][i]`` index the two
+        lateral sources of own column i into that same array, so line
+        adjacency and dep_map wiring share one ready check; the line
+        fast path reads only ``el_of``/``er_of``, the slots of the
+        left/right external columns (or the virtual slot).  Positions
+        with ``vec[p]`` hold numpy arrays for the vectorised scan.
+        """
+        T = self.T
+        n = self.host.n
+        dep_map = self.dep_map
+        lo_of = [0] * n
+        k_of = [0] * n
+        W_of: list = [None] * n
+        sl_of: list = [None] * n
+        sr_of: list = [None] * n
+        el_of = [0] * n
+        er_of = [0] * n
+        ext_idx: list = [None] * n
+        vec = [False] * n
+        busy = [False] * n
+        for p in self.used:
+            lo, hi = self.assignment.ranges[p]
+            k = hi - lo + 1
+            lo_of[p] = lo
+            k_of[p] = k
+            ecols = self._ext_cols[p]
+            e = len(ecols)
+            idx = {c: k + j for j, c in enumerate(ecols)}
+            ext_idx[p] = idx
+            virt = k + e
+            w = [0] * (k + e) + [T]
+            sl = [0] * k
+            sr = [0] * k
+            for i in range(k):
+                c = lo + i
+                a, b = dep_map[c] if dep_map is not None else (c - 1, c + 1)
+                sl[i] = a - lo if lo <= a <= hi else idx.get(a, virt)
+                sr[i] = b - lo if lo <= b <= hi else idx.get(b, virt)
+            el_of[p] = idx.get(lo - 1, virt)
+            er_of[p] = idx.get(hi + 1, virt)
+            if k >= _VEC_MIN_COLS:
+                w = np.array(w, dtype=np.int64)
+                sl = np.asarray(sl, dtype=np.intp)
+                sr = np.asarray(sr, dtype=np.intp)
+                vec[p] = True
+            W_of[p] = w
+            sl_of[p] = sl
+            sr_of[p] = sr
+        self._layout = (
+            W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of, el_of, er_of, vec
+        )
+
     # -- values (computed once, vectorised) -----------------------------
     def _guest_values(self):
         """Per-column value folds, update digests and final states.
 
         Returns ``(value_folds, update_digests, final_states)`` — each a
-        length-``m`` sequence indexed by column-1.  Every fault-free
-        replica reproduces exactly these values (that is what
+        length-``m`` sequence indexed by column-1.  Every replica that
+        finishes reproduces exactly these values (that is what
         :mod:`repro.core.verify` checks), so one reference-style pass
         serves all replicas.
         """
@@ -467,101 +542,130 @@ class DenseExecutor:
 
     # -- timing skeleton -------------------------------------------------
     def _simulate_timing(self, stats: SimStats) -> int:
-        """Replay the greedy event order with flat integer state.
+        """The tier's one timing loop: replay the greedy event order on
+        flat integer state.
 
-        Returns the makespan; fills ``stats.pebbles``/``messages`` and
-        leaves the total link-injection count in ``stats.pebble_hops``.
+        Returns the makespan and fills ``stats``' counters.  A faulted
+        run (:attr:`_faulty`) additionally schedules crash, stream-check
+        and watchdog events, whose handlers live on
+        :class:`~repro.core.dense_faults.FaultedDenseExecutor`; a
+        zero-penalty ``_RESUME`` is the one push into the bucket being
+        iterated, which is exactly the heap's tie-break.
         """
         T = self.T
-        m = self.m
-        n = self.host.n
         bw = self.bandwidth
         delays = self.host.link_delays
-        dep_map = self.dep_map
-
-        # Per-position watermark arrays.  W_of[p] lays out: the k own
-        # columns' completed rows, then one watermark per subscribed
-        # external column (sorted), then a virtual slot pinned to T for
-        # the array boundaries.  sl_of/sr_of[p][i] index the two lateral
-        # sources of own column i into that same array, so line
-        # adjacency and dep_map wiring share one ready check.
-        line = dep_map is None
-        lo_of = [0] * n
-        k_of = [0] * n
-        W_of: list = [None] * n
-        sl_of: list = [None] * n
-        sr_of: list = [None] * n
-        # Line fast path: watermark indices of the left/right external
-        # columns (or the virtual slot), so edge columns skip the
-        # per-column source tables entirely.
-        el_of = [0] * n
-        er_of = [0] * n
-        ext_idx: list = [None] * n
-        vec = [False] * n
-        busy = [False] * n
-        remaining = 0
-        for p in self.used:
-            lo, hi = self.assignment.ranges[p]
-            k = hi - lo + 1
-            lo_of[p] = lo
-            k_of[p] = k
-            ecols = self._ext_cols[p]
-            e = len(ecols)
-            idx = {c: k + j for j, c in enumerate(ecols)}
-            ext_idx[p] = idx
-            virt = k + e
-            w = [0] * (k + e) + [T]
-            sl = [0] * k
-            sr = [0] * k
-            for i in range(k):
-                c = lo + i
-                a, b = dep_map[c] if dep_map is not None else (c - 1, c + 1)
-                sl[i] = a - lo if lo <= a <= hi else idx.get(a, virt)
-                sr[i] = b - lo if lo <= b <= hi else idx.get(b, virt)
-            el_of[p] = idx.get(lo - 1, virt)
-            er_of[p] = idx.get(hi + 1, virt)
-            if k >= _VEC_MIN_COLS:
-                w = np.array(w, dtype=np.int64)
-                sl = np.asarray(sl, dtype=np.intp)
-                sr = np.asarray(sr, dtype=np.intp)
-                vec[p] = True
-            W_of[p] = w
-            sl_of[p] = sl
-            sr_of[p] = sr
-            remaining += k * T
-
-        if T == 0 or remaining == 0:
+        tl = self.telemetry
+        ck = self._resume_from
+        faulty = self._faulty
+        tables = self._fault_tables if faulty else None
+        self._epoch = epoch = 0
+        self._dead: set[int] = set()
+        self._fault_log: list[str] = []
+        self._streams: dict[tuple[int, int], list] = {}
+        # column -> live positions holding a replica (recovery sources)
+        self._holders: dict[int, set[int]] = {}
+        self._reassign_dead = None
+        if faulty:
+            stats.faults_injected = len(self.faults.events)
+            self._holders = {
+                c: set(ps) for c, ps in self.assignment.owners().items()
+            }
+        self._build_layout()
+        (W_of, busy, lo_of, k_of, ext_idx,
+         sl_of, sr_of, el_of, er_of, vec) = self._layout
+        remaining = sum(k_of[p] for p in self.used) * T
+        if not remaining:
             return 0
+        if tl is not None:
+            tl.meta.setdefault("engine", "dense")
+            if ck is None:
+                tl.spans.begin("epoch", 0, track="epochs", epoch=0)
+            else:
+                # The snapshot carries the prefix's telemetry verbatim,
+                # including the span left open at capture time.
+                tl.load_snapshot(ck.telemetry)
 
-        # Directed-link occupancy: the LinkPipe slot rule as three flat
-        # integer lists per direction (busy-slot time, pebbles in that
-        # slot, lifetime injections).  Link j joins positions j, j+1.
-        n_links = n - 1
+        line = self.dep_map is None
+        subscribers_get = self.subscribers.get
+        # Directed-link occupancy: the LinkPipe slot rule's state as
+        # flat integer lists per direction (busy-slot time, pebbles in
+        # that slot).  Link j joins positions j, j+1.
+        n_links = self.host.n - 1
         r_slot = [-1] * n_links
         r_used = [0] * n_links
         l_slot = [-1] * n_links
         l_used = [0] * n_links
         injections = 0
+        # Only faulty directed links consult the fault tables and clamp
+        # arrivals monotone (a clean pipe's arrivals already are).
+        faulty_dirs = tables.faulty_directions() if faulty else set()
+        link_outcome = tables.link_outcome if faulty else None
+        last_out: dict[tuple[int, int], int] = {}
 
-        subscribers = {k_: tuple(v) for k_, v in self.subscribers.items()}
-        subscribers_get = subscribers.get
-
-        # Time-bucketed event lists.  Every push is strictly in the
-        # future (computes finish at now+1, link delays are >= 1), so a
-        # forward sweep in append order replays the heap's (time, seq)
-        # order exactly.
-        buckets: list[list[tuple]] = [[] for _ in range(T + 2)]
-        pending_events = 0
+        bucket_map: dict[int, list[tuple]] = {}
+        times: list[int] = []
         makespan = 0
-        n_pebbles = 0
-        n_messages = 0
-        # Row-completion times (same convention as the greedy loops):
-        # step_done[t] = host step the last pebble of guest row t
-        # finished.  Consecutive diffs are the per-step latencies.
+        n_pebbles = n_messages = n_lost = n_retries = progress = 0
+        first_top: int | None = None
+        # Row-completion times (max over every epoch's replicas, the
+        # greedy convention): step_done[t] = host step the last pebble
+        # of guest row t finished.  Consecutive diffs are the per-step
+        # latencies.
         step_done = [0] * (T + 1)
 
+        def push(t: int, item: tuple) -> None:
+            b = bucket_map.get(t)
+            if b is None:
+                bucket_map[t] = [item]
+                heappush(times, t)
+            else:
+                b.append(item)
+
+        def hop(pos: int, dst: int, c: int, t: int, now: int) -> None:
+            """Inject pebble ``(c, t)`` at ``pos`` one link toward
+            ``dst``; push its arrival unless a fault loses it.  The slot
+            is consumed (and counted) even when the pebble is lost."""
+            nonlocal injections, n_lost
+            if dst > pos:
+                j = pos
+                step = 1
+                slots, used = r_slot, r_used
+            else:
+                j = pos - 1
+                step = -1
+                slots, used = l_slot, l_used
+            slot = slots[j]
+            if now > slot:
+                slot = now
+                used[j] = 1
+            elif used[j] < bw:
+                used[j] += 1
+            else:
+                slot += 1
+                used[j] = 1
+            slots[j] = slot
+            injections += 1
+            arr = slot + delays[j]
+            if faulty_dirs and (j, step) in faulty_dirs:
+                outcome = link_outcome(j, step, now)
+                if outcome is LOST:
+                    n_lost += 1
+                    if tl is not None:
+                        tl.send(now, now)
+                        tl.drop(now)
+                    return
+                arr += outcome
+                prev = last_out.get((j, step), 0)
+                if arr < prev:
+                    arr = prev
+                else:
+                    last_out[(j, step)] = arr
+            if tl is not None:
+                tl.send(now if faulty else slot, arr)
+            push(arr, (_MSG, pos + step, dst, c, t, epoch))
+
         def try_start(p: int, now: int) -> None:
-            nonlocal pending_events
             if busy[p]:
                 return
             w = W_of[p]
@@ -627,126 +731,164 @@ class DenseExecutor:
                 if best_i < 0:
                     return
             busy[p] = True
-            arr = now + 1
-            if arr >= len(buckets):
-                buckets.extend([] for _ in range(arr - len(buckets) + 1))
-            buckets[arr].append((_DONE, p, best_i, best_t))
-            pending_events += 1
+            push(now + 1, (_DONE, p, best_i, best_t, epoch))
 
-        ck = self._resume_from
-        first_top: int | None = None
+        def capture(at: int, label: str) -> None:
+            """Snapshot the full loop state with processed times < at."""
+            self.checkpoints.append(
+                ExecutorCheckpoint(
+                    time=at,
+                    epoch=epoch,
+                    label=label,
+                    remaining=remaining,
+                    makespan=makespan,
+                    progress=progress,
+                    pebbles=n_pebbles,
+                    messages=n_messages,
+                    injections=injections,
+                    lost_messages=n_lost,
+                    retries=n_retries,
+                    watermarks={
+                        p: [int(x) for x in W_of[p]] for p in self.used
+                    },
+                    busy={p: busy[p] for p in self.used},
+                    link_state=[
+                        list(r_slot), list(r_used), list(l_slot), list(l_used)
+                    ],
+                    dead=set(self._dead),
+                    streams={k: list(v) for k, v in self._streams.items()},
+                    steps=T,
+                    kind="faulted" if faulty else "dense",
+                    first_top=first_top,
+                    events=[
+                        (t, list(bucket_map[t])) for t in sorted(bucket_map)
+                    ],
+                    subscribers={
+                        k: list(v) for k, v in self.subscribers.items()
+                    },
+                    holders={c: set(ps) for c, ps in self._holders.items()},
+                    last_out=dict(last_out),
+                    reassign_dead=(
+                        None
+                        if self._reassign_dead is None
+                        else list(self._reassign_dead)
+                    ),
+                    fault_log=list(self._fault_log),
+                    drops_consumed=tables.drops_consumed() if faulty else [],
+                    counters={
+                        "crashed_nodes": stats.crashed_nodes,
+                        "recoveries": stats.recoveries,
+                        "columns_lost": stats.columns_lost,
+                    },
+                    telemetry=None if tl is None else tl.snapshot(),
+                    step_done=list(step_done),
+                )
+            )
+
+        boundaries = tables.boundaries() if faulty else []
         if ck is None:
+            # Setup pushes in the greedy engine's sequence order:
+            # scripted crashes (sorted by position), initial computes
+            # (used order, landing at t=1), stream checks, watchdog.
+            if faulty:
+                for pos, t_crash in sorted(tables.crash_times.items()):
+                    push(t_crash, (_CRASH, pos))
             for p in self.used:
                 try_start(p, 0)
-            now = 0
+            if faulty:
+                self._init_streams(0, push)
+                push(self._watch_window(), (_WATCH, 0))
+            b_idx = 0
         else:
-            # Resume: overwrite the freshly built arrays with the
-            # checkpointed prefix state and seed the buckets with the
-            # pending events, preserving their captured append order.
+            # Resume: overwrite the freshly built state with the
+            # checkpointed prefix and seed the pending events in their
+            # captured append order.
+            self._epoch = epoch = ck.epoch
+            self._dead = set(ck.dead)
+            if ck.reassign_dead is not None:
+                self._adopt(self._reassign(ck.reassign_dead), ck.reassign_dead)
+                (W_of, busy, lo_of, k_of, ext_idx,
+                 sl_of, sr_of, el_of, er_of, vec) = self._layout
+            # Retry re-subscriptions mutate the provider lists in
+            # place, so the snapshot's lists are authoritative over the
+            # rebuilt ones.
+            self.subscribers = {k: list(v) for k, v in ck.subscribers.items()}
+            subscribers_get = self.subscribers.get
+            self._holders = {c: set(ps) for c, ps in ck.holders.items()}
+            self._fault_log = list(ck.fault_log)
+            self._streams = {k: list(v) for k, v in ck.streams.items()}
             for p in self.used:
-                saved = ck.watermarks[p]
-                w = W_of[p]
                 # The last slot is the virtual boundary watermark,
                 # pinned to *this* run's T (horizon extensions re-pin).
-                for i in range(len(saved) - 1):
-                    w[i] = saved[i]
+                saved = ck.watermarks[p]
+                W_of[p][: len(saved) - 1] = saved[:-1]
                 busy[p] = ck.busy[p]
-            rs, ru, ls, lu = ck.link_state
-            r_slot[:] = rs
-            r_used[:] = ru
-            l_slot[:] = ls
-            l_used[:] = lu
+            r_slot[:], r_used[:], l_slot[:], l_used[:] = ck.link_state
+            last_out.update(ck.last_out)
             injections = ck.injections
             n_pebbles = ck.pebbles
             n_messages = ck.messages
+            n_lost = ck.lost_messages
+            n_retries = ck.retries
+            progress = ck.progress
             makespan = ck.makespan
             first_top = ck.first_top
-            if ck.step_done is None:
-                # A pre-step-latency checkpoint cannot finish
-                # bit-identically (the resumed run's distribution would
-                # miss the prefix) — fall back to a full recompute.
-                from repro.delta import DeltaUnsupported
-
-                raise DeltaUnsupported(
-                    "checkpoint predates step-latency capture "
-                    "(no step_done)"
-                )
-            for t, v in enumerate(ck.step_done):
-                step_done[t] = v
+            step_done[: len(ck.step_done)] = ck.step_done
+            for name, value in ck.counters.items():
+                setattr(stats, name, value)
             # Re-base pending work onto this run's horizon: every used
             # column gained (T - ck.steps) rows relative to the capture.
             remaining = ck.remaining + sum(k_of[p] for p in self.used) * (
                 T - ck.steps
             )
+            # Scripted crashes are re-read from *this* run's plan (a
+            # fault edit may have moved them) and pushed first, so they
+            # sit at their bucket fronts exactly as in a fresh run.
+            if faulty:
+                tables.consume_drops(ck.drops_consumed)
+                for pos, t_crash in sorted(tables.crash_times.items()):
+                    if t_crash >= ck.time:
+                        push(t_crash, (_CRASH, pos))
             for t, evs in ck.events:
-                if t >= len(buckets):
-                    buckets.extend([] for _ in range(t - len(buckets) + 1))
-                buckets[t].extend(evs)
-                pending_events += len(evs)
-            now = ck.time
+                for ev in evs:
+                    if ev[0] != _CRASH:
+                        push(t, ev)
+            b_idx = bisect_right(boundaries, ck.time)
+        n_bounds = len(boundaries)
 
         stride = self.checkpoint_stride
-        next_mark = stride * (now // stride + 1) if stride is not None else None
-
-        def capture(at: int) -> None:
-            """Snapshot the full loop state with processed times < at."""
-            events = []
-            for t in range(at, len(buckets)):
-                evs = buckets[t]
-                if evs:
-                    events.append((t, list(evs)))
-            tl_snap = None
-            if self.telemetry is not None:
-                tl_snap = self._telemetry_prefix(
-                    buckets,
-                    at,
-                    base_snapshot=None if ck is None else ck.telemetry,
-                    start=0 if ck is None else ck.time,
-                )
-            self.checkpoints.append(
-                ExecutorCheckpoint(
-                    time=at,
-                    epoch=0,
-                    label="stride",
-                    remaining=remaining,
-                    makespan=makespan,
-                    progress=n_pebbles,
-                    pebbles=n_pebbles,
-                    messages=n_messages,
-                    injections=injections,
-                    lost_messages=0,
-                    retries=0,
-                    watermarks={
-                        p: [int(x) for x in W_of[p]] for p in self.used
-                    },
-                    busy={p: bool(busy[p]) for p in self.used},
-                    link_state=[
-                        list(r_slot), list(r_used), list(l_slot), list(l_used)
-                    ],
-                    steps=T,
-                    kind="dense",
-                    first_top=first_top,
-                    events=events,
-                    telemetry=tl_snap,
-                    step_done=list(step_done),
-                )
-            )
-
-        while pending_events:
+        start = 0 if ck is None else ck.time
+        next_mark = None if stride is None else stride * (start // stride + 1)
+        pending_resume = False
+        while times:
+            now = heappop(times)
+            while b_idx < n_bounds and boundaries[b_idx] <= now:
+                # State is unchanged since the last processed event, so
+                # capturing here (first event at/after the boundary) is
+                # the state *at* the boundary time recorded.
+                capture(boundaries[b_idx], "fault-boundary")
+                b_idx += 1
+            if pending_resume:
+                # Deferred from the _RESUME event so the snapshot's
+                # pending buckets are whole (the resume bucket itself
+                # was mid-iteration at the time).
+                capture(now, "resume")
+                pending_resume = False
             if next_mark is not None and now >= next_mark:
-                capture(now)
+                capture(now, "stride")
                 next_mark = stride * (now // stride + 1)
-            bucket = buckets[now]
-            if not bucket:
-                now += 1
-                continue
+            bucket = bucket_map[now]
             for ev in bucket:
-                if ev[0] == _DONE:
-                    _, p, i, t = ev
+                kind = ev[0]
+                if kind == _DONE:
+                    _, p, i, t, ep = ev
+                    if ep != epoch:
+                        continue  # pre-reconfiguration work, discarded
                     busy[p] = False
                     W_of[p][i] = t
                     n_pebbles += 1
                     remaining -= 1
+                    progress += 1
                     if now > makespan:
                         makespan = now
                     if now > step_done[t]:
@@ -754,299 +896,119 @@ class DenseExecutor:
                     if t == T and first_top is None:
                         first_top = now
                     c = lo_of[p] + i
+                    if tl is not None:
+                        tl.pebble(now, p, c, t)
                     subs = subscribers_get((p, c))
                     if subs:
-                        if len(subs) == 1:
-                            dst = subs[0]
-                            n_messages += 1
-                            if dst > p:
-                                j = p
-                                slot, used_ = r_slot[j], r_used[j]
-                                if now > slot:
-                                    slot, used_ = now, 1
-                                elif used_ < bw:
-                                    used_ += 1
-                                else:
-                                    slot, used_ = slot + 1, 1
-                                r_slot[j], r_used[j] = slot, used_
-                                injections += 1
-                                arr = slot + delays[j]
-                                if arr >= len(buckets):
-                                    buckets.extend(
-                                        [] for _ in range(arr - len(buckets) + 1)
-                                    )
-                                buckets[arr].append((_MSG, p + 1, dst, c, t))
-                            else:
-                                j = p - 1
-                                slot, used_ = l_slot[j], l_used[j]
-                                if now > slot:
-                                    slot, used_ = now, 1
-                                elif used_ < bw:
-                                    used_ += 1
-                                else:
-                                    slot, used_ = slot + 1, 1
-                                l_slot[j], l_used[j] = slot, used_
-                                injections += 1
-                                arr = slot + delays[j]
-                                if arr >= len(buckets):
-                                    buckets.extend(
-                                        [] for _ in range(arr - len(buckets) + 1)
-                                    )
-                                buckets[arr].append((_MSG, p - 1, dst, c, t))
-                            pending_events += 1
-                        else:
-                            # Whole-stream send: batch-assign slots per
-                            # direction (right first, then left — the
-                            # greedy engine's hop_many order), then push
-                            # per subscriber in list order.  Wide
-                            # streams take the closed-form slot math:
-                            # injection j lands in slot0+(used0+j)//bw.
-                            n_right = 0
-                            for dst in subs:
-                                if dst > p:
-                                    n_right += 1
-                            right_arr: list[int] = []
-                            if n_right:
-                                j = p
-                                slot, used_ = r_slot[j], r_used[j]
-                                if now > slot:
-                                    slot, used_ = now, 0
-                                d = delays[j]
-                                if n_right >= _VEC_MIN_SUBS:
-                                    base = slot + d
-                                    right_arr = (
-                                        base
-                                        + np.arange(used_, used_ + n_right) // bw
-                                    ).tolist()
-                                    occ = used_ + n_right - 1
-                                    slot, used_ = slot + occ // bw, occ % bw + 1
-                                else:
-                                    for _k in range(n_right):
-                                        if used_ < bw:
-                                            used_ += 1
-                                        else:
-                                            slot, used_ = slot + 1, 1
-                                        right_arr.append(slot + d)
-                                r_slot[j], r_used[j] = slot, used_
-                                injections += n_right
-                            n_left = len(subs) - n_right
-                            left_arr: list[int] = []
-                            if n_left:
-                                j = p - 1
-                                slot, used_ = l_slot[j], l_used[j]
-                                if now > slot:
-                                    slot, used_ = now, 0
-                                d = delays[j]
-                                if n_left >= _VEC_MIN_SUBS:
-                                    base = slot + d
-                                    left_arr = (
-                                        base
-                                        + np.arange(used_, used_ + n_left) // bw
-                                    ).tolist()
-                                    occ = used_ + n_left - 1
-                                    slot, used_ = slot + occ // bw, occ % bw + 1
-                                else:
-                                    for _k in range(n_left):
-                                        if used_ < bw:
-                                            used_ += 1
-                                        else:
-                                            slot, used_ = slot + 1, 1
-                                        left_arr.append(slot + d)
-                                l_slot[j], l_used[j] = slot, used_
-                                injections += n_left
-                            n_messages += len(subs)
-                            ri = li = 0
-                            top = len(buckets)
-                            for dst in subs:
-                                if dst > p:
-                                    arr = right_arr[ri]
-                                    ri += 1
-                                    item = (_MSG, p + 1, dst, c, t)
-                                else:
-                                    arr = left_arr[li]
-                                    li += 1
-                                    item = (_MSG, p - 1, dst, c, t)
-                                if arr >= top:
-                                    buckets.extend(
-                                        [] for _ in range(arr - top + 1)
-                                    )
-                                    top = len(buckets)
-                                buckets[arr].append(item)
-                            pending_events += len(subs)
+                        n_messages += len(subs)
+                        if tl is not None:
+                            tl.message(now, len(subs))
+                        for dst in subs:
+                            hop(p, dst, c, t, now)
+                    if faulty and not remaining:
+                        # A fault run stops at its last pebble,
+                        # abandoning in-flight relays (greedy does too).
+                        times.clear()
+                        break
                     try_start(p, now)
-                else:  # _MSG
-                    _, pos, dst, c, t = ev
-                    if pos == dst:
-                        w = W_of[pos]
-                        wi = ext_idx[pos][c]
-                        if t != w[wi] + 1:  # pragma: no cover
-                            raise AssertionError(
-                                f"out-of-order delivery of ({c},{t}) at "
-                                f"{pos}: have {w[wi]}"
-                            )
+                elif kind == _MSG:
+                    _, pos, dst, c, t, ep = ev
+                    if ep != epoch:
+                        continue
+                    if pos != dst:
+                        hop(pos, dst, c, t, now)
+                        continue
+                    w = W_of[pos]
+                    wi = ext_idx[pos][c]
+                    if t == w[wi] + 1:
                         w[wi] = t
+                        progress += 1
+                        if tl is not None:
+                            tl.deliver(now)
                         try_start(pos, now)
-                    else:
-                        # Relay one hop toward the target.
-                        if dst > pos:
-                            j = pos
-                            slot, used_ = r_slot[j], r_used[j]
-                            if now > slot:
-                                slot, used_ = now, 1
-                            elif used_ < bw:
-                                used_ += 1
-                            else:
-                                slot, used_ = slot + 1, 1
-                            r_slot[j], r_used[j] = slot, used_
-                            injections += 1
-                            arr = slot + delays[j]
-                            nxt = pos + 1
-                        else:
-                            j = pos - 1
-                            slot, used_ = l_slot[j], l_used[j]
-                            if now > slot:
-                                slot, used_ = now, 1
-                            elif used_ < bw:
-                                used_ += 1
-                            else:
-                                slot, used_ = slot + 1, 1
-                            l_slot[j], l_used[j] = slot, used_
-                            injections += 1
-                            arr = slot + delays[j]
-                            nxt = pos - 1
-                        if arr >= len(buckets):
-                            buckets.extend(
-                                [] for _ in range(arr - len(buckets) + 1)
-                            )
-                        buckets[arr].append((_MSG, nxt, dst, c, t))
-                        pending_events += 1
-            pending_events -= len(bucket)
-            now += 1
+                    elif not faulty:  # pragma: no cover - invariant guard
+                        raise AssertionError(
+                            f"out-of-order delivery of ({c},{t}) at "
+                            f"{pos}: have {w[wi]}"
+                        )
+                    # A fault run ignores replayed duplicates and the
+                    # gap behind a lost predecessor; a retry fills it.
+                elif kind == _CRASH:
+                    left = self._crash(ev[1], now, stats, push)
+                    if left is not None:
+                        # A new epoch: rebind what the reassignment rebuilt.
+                        remaining = left
+                        epoch = self._epoch
+                        (W_of, busy, lo_of, k_of, ext_idx,
+                         sl_of, sr_of, el_of, er_of, vec) = self._layout
+                        subscribers_get = self.subscribers.get
+                elif kind == _RESUME:
+                    if ev[1] != epoch:
+                        continue
+                    self._resume(now, push, try_start)
+                    pending_resume = True
+                elif kind == _CHECK:
+                    self._check_stream(ev[1], ev[2], ev[3], now, push)
+                elif kind == _REQ:
+                    # A retry request reached provider q: replay the
+                    # pebbles of column c that p is missing.
+                    _, q, p, c, from_t, ep = ev
+                    if ep != epoch or q in self._dead:
+                        continue
+                    lo = lo_of[q]
+                    if ext_idx[q] is None or not lo <= c < lo + k_of[q]:
+                        continue
+                    have = int(W_of[q][c - lo])
+                    if have <= from_t:
+                        # Merely slow, not faulty: no retry consumed.
+                        continue
+                    stream = self._streams.get((p, c))
+                    if stream is not None:
+                        stream[2] += 1
+                    n_retries += 1
+                    n_messages += have - from_t
+                    if tl is not None:
+                        tl.message(now, have - from_t)
+                    for t in range(from_t + 1, have + 1):
+                        hop(q, p, c, t, now)
+                else:  # _WATCH
+                    if remaining and progress == ev[1]:
+                        raise self._deadlock(
+                            "no progress for a full watchdog window"
+                        )
+                    if remaining:
+                        push(now + self._watch_window(), (_WATCH, progress))
+            del bucket_map[now]
 
-        if remaining:  # pragma: no cover - the skeleton cannot wedge
-            raise RuntimeError(f"{remaining} pebbles never computed")
-        self.first_top_t = first_top
         stats.pebbles = n_pebbles
         stats.messages = n_messages
+        stats.lost_messages = n_lost
+        stats.retries = n_retries
         stats.pebble_hops = injections
+        if remaining:
+            if not faulty:  # pragma: no cover - the skeleton cannot wedge
+                raise RuntimeError(f"{remaining} pebbles never computed")
+            raise self._deadlock(f"{remaining} pebbles never computed")
+        if tl is not None:
+            tl.spans.close_all(makespan)
+        self.first_top_t = first_top
         stats.record_step_latency(latencies_from_completions(step_done))
-        if self.telemetry is not None:
-            self._feed_telemetry(
-                buckets,
-                makespan,
-                start=0 if ck is None else ck.time,
-                snapshot=None if ck is None else ck.telemetry,
-            )
         return makespan
 
-    def _feed_telemetry(
-        self,
-        buckets: list[list[tuple]],
-        makespan: int,
-        start: int = 0,
-        snapshot: dict | None = None,
-    ) -> None:
-        """Replay the retained event buckets into the attached timeline.
+    def _execute(self):
+        """Run the timing skeleton, then assemble the result.
 
-        Runs *after* the timed loop (buckets are append-only, so they
-        still hold the complete event history).  On a resumed run the
-        prefix history comes from the checkpoint's timeline
-        ``snapshot`` and only buckets from ``start`` on are replayed
-        (buckets before the resume point are empty in that run).
+        Values come from the *final* epoch's guest: an epoch restart
+        re-derives every database from scratch and the run only
+        completes when the final epoch finishes all ``T`` rows of its
+        (possibly reduced) ``m`` columns, so one value pass over that
+        guest reproduces every digest and replica the greedy engine
+        accumulates scalar-wise.
         """
-        tl = self.telemetry
-        if snapshot is not None:
-            tl.load_snapshot(snapshot)
-        tl.meta.setdefault("engine", "dense")
-        if snapshot is None:
-            tl.spans.begin("epoch", 0, track="epochs", epoch=0)
-        self._replay_buckets(tl, buckets, start)
-        tl.spans.close_all(makespan)
-
-    def _replay_buckets(
-        self,
-        tl,
-        buckets: list[list[tuple]],
-        start: int = 0,
-        stop: int | None = None,
-    ) -> None:
-        """Feed bucket events in ``[start, stop)`` into timeline ``tl``.
-
-        Produces exactly the per-step counters the greedy loop records
-        on a fault-free run: a ``_DONE`` at step ``now`` is one pebble
-        completion (and one message launch per subscriber of that
-        column); a ``_MSG`` at step ``now`` is one link arrival whose
-        injection slot was ``now - delay`` of the link it arrived on
-        (dense computes arrivals as ``slot + delay``, so the
-        subtraction is exact).
-        """
-        delays = self.host.link_delays
-        subscribers_get = self.subscribers.get
-        # A _MSG event carries its final target, not its travel
-        # direction: when it *reaches* the target the arriving link is
-        # recovered from which side the providing owner sits on.
-        provider_of: dict[tuple[int, int], int] = {}
-        for (q, c), subs in self.subscribers.items():
-            for p in subs:
-                provider_of[(p, c)] = q
-        lo_of = {p: self.assignment.ranges[p][0] for p in self.used}
-        pebble = tl.pebble
-        send = tl.send
-        message = tl.message
-        deliver = tl.deliver
-        hi = len(buckets) if stop is None else min(stop, len(buckets))
-        for now in range(start, hi):
-            for ev in buckets[now]:
-                if ev[0] == _DONE:
-                    _, p, i, t = ev
-                    c = lo_of[p] + i
-                    pebble(now, p, c, t)
-                    subs = subscribers_get((p, c))
-                    if subs:
-                        message(now, len(subs))
-                else:
-                    _, pos, dst, c, t = ev
-                    if pos == dst:
-                        rightward = pos > provider_of[(pos, c)]
-                        deliver(now)
-                    else:
-                        rightward = dst > pos
-                    j = pos - 1 if rightward else pos
-                    send(now - delays[j], now)
-
-    def _telemetry_prefix(
-        self,
-        buckets: list[list[tuple]],
-        stop: int,
-        base_snapshot: dict | None = None,
-        start: int = 0,
-    ) -> dict:
-        """Timeline snapshot of the run's history strictly before
-        ``stop`` (checkpoint capture helper).
-
-        For a resumed run the history before this run's own buckets is
-        the ``base_snapshot`` it was restored from; ``start`` is its
-        resume point.
-        """
-        from repro.telemetry.timeline import MetricsTimeline
-
-        tmp = MetricsTimeline()
-        if base_snapshot is not None:
-            tmp.load_snapshot(base_snapshot)
-        else:
-            tmp.spans.begin("epoch", 0, track="epochs", epoch=0)
-        tmp.meta.setdefault("engine", "dense")
-        self._replay_buckets(tmp, buckets, start, stop)
-        return tmp.snapshot()
-
-    def run(self):
-        """Execute; returns an :class:`~repro.core.executor.ExecResult`
-        bit-identical to the greedy engine's."""
         from repro.core.executor import ExecResult
 
         stats = SimStats()
-        makespan = self._simulate_timing(stats)
-        stats.makespan = makespan
+        stats.makespan = self._simulate_timing(stats)
         stats.procs_used = len(self.used)
         stats.redundant = stats.pebbles - self.m * self.T
         result = ExecResult(stats, self.T, self.assignment)
@@ -1068,6 +1030,11 @@ class DenseExecutor:
                     label(c), state, T, db_digests[c - 1]
                 )
         return result
+
+    def run(self):
+        """Execute; returns an :class:`~repro.core.executor.ExecResult`
+        bit-identical to the greedy engine's."""
+        return self._execute()
 
 
 def build_executor(

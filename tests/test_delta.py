@@ -26,11 +26,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import ExecutorCheckpoint
-from repro.core.overlap import simulate_overlap
+from repro.core.dense import DenseExecutor
+from repro.core.dense_faults import FaultedDenseExecutor
+from repro.core.overlap import simulate_overlap, simulate_overlap_on_graph
+from repro.core.ring import ring_dep_map
 from repro.delta import (
     DeltaUnsupported,
     cosmetic_rule,
@@ -40,10 +45,14 @@ from repro.delta import (
     policy_rule,
 )
 from repro.experiments.x5 import _edit_point, base_config, edit_grid
+from repro.lower_bounds.audit import windowed_assignment
 from repro.machine.host import HostArray
+from repro.machine.programs import CounterProgram
 from repro.netsim.faults import FaultPlan, RecoveryPolicy
 from repro.runner import SweepCache, SweepRunner, config_hash, shutdown_pool
 from repro.telemetry import MetricsTimeline
+from repro.topology.delays import uniform_delays
+from repro.topology.generators import mesh_host
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -82,41 +91,119 @@ def _run_faulted(cfg: dict, resume_from=None, stride=8, telemetry=None):
     )
 
 
+# Restore inputs: ``run(telemetry=None, resume_from=None)`` callables
+# returning an object with ``exec_result`` and ``checkpoints``.
+
+
+def _line(telemetry=None, resume_from=None):
+    return simulate_overlap(
+        HostArray.uniform(16, delay=3),
+        steps=8,
+        engine="dense",
+        telemetry=telemetry,
+        checkpoint_stride=8 if resume_from is None else None,
+        resume_from=resume_from,
+    )
+
+
+def _faulted_line(telemetry=None, resume_from=None):
+    return _run_faulted(
+        _faulted_config(), resume_from=resume_from, telemetry=telemetry
+    )
+
+
+def _ring(faults=None):
+    """A folded 16-ring (``ring_dep_map`` wiring, ``col_label``
+    relabelling) on two-copy windows.  ``simulate_ring`` takes no
+    ``resume_from``, so the executors are built directly."""
+    host = HostArray([2, 1, 3, 1, 4, 2, 1, 3, 2, 1, 2, 3, 1, 2, 1])
+    dep_map, node_of_col = ring_dep_map(16)
+    assignment = windowed_assignment(16, 16, copies=2)
+
+    def run(telemetry=None, resume_from=None):
+        kwargs = dict(
+            dep_map=dep_map,
+            col_label=lambda c: node_of_col[c] + 1,
+            telemetry=telemetry,
+            checkpoint_stride=8,
+        )
+        if faults is None:
+            ex = DenseExecutor(host, assignment, CounterProgram(), 8, **kwargs)
+        else:
+            ex = FaultedDenseExecutor(
+                host, assignment, CounterProgram(), 8, faults=faults, **kwargs
+            )
+        if resume_from is not None:
+            ex.restore(resume_from)
+        return SimpleNamespace(exec_result=ex.run(), checkpoints=ex.checkpoints)
+
+    return run
+
+
+def _mesh(faults=None):
+    """A 4x4 mesh embedded by ``simulate_overlap_on_graph``."""
+    host = mesh_host(4, 4, uniform_delays(24, np.random.default_rng(5), 1, 6))
+
+    def run(telemetry=None, resume_from=None):
+        return simulate_overlap_on_graph(
+            host,
+            steps=8,
+            min_copies=2,
+            faults=faults,
+            telemetry=telemetry,
+            checkpoint_stride=8,
+            resume_from=resume_from,
+        )
+
+    return run
+
+
+DENSE_RESTORE_CASES = {"line": _line, "ring": _ring(), "mesh": _mesh()}
+FAULTED_RESTORE_CASES = {
+    "line": _faulted_line,
+    # link faults only: node crashes need the plain array adjacency
+    "ring": _ring(
+        FaultPlan()
+        .link_down(4, 30, 8)
+        .jitter(7, 5, 20, 6)
+        .drop(2, 12, direction=1)
+        .drop(12, 5, direction=-1)
+    ),
+    "mesh": _mesh(
+        FaultPlan().crash(5, 20).link_down(3, 10, 6).jitter(7, 4, 12, 3).drop(10, 15)
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # executor capture -> restore
 
 
-def test_dense_restore_every_checkpoint_bit_identical():
-    host = HostArray.uniform(16, delay=3)
+@pytest.mark.parametrize("case", list(DENSE_RESTORE_CASES))
+def test_dense_restore_every_checkpoint_bit_identical(case):
+    run = DENSE_RESTORE_CASES[case]
     tl = MetricsTimeline()
-    base = simulate_overlap(
-        host, steps=8, engine="dense", telemetry=tl, checkpoint_stride=8
-    )
+    base = run(telemetry=tl)
     assert base.checkpoints, "stride produced no checkpoints"
     for ck in base.checkpoints:
         tl2 = MetricsTimeline()
-        res = simulate_overlap(
-            host,
-            steps=8,
-            engine="dense",
-            telemetry=tl2,
-            resume_from=_roundtrip(ck),
-        )
+        res = run(telemetry=tl2, resume_from=_roundtrip(ck))
         assert _stats(res) == _stats(base), f"stats diverge from t={ck.time}"
         assert res.exec_result.value_digests == base.exec_result.value_digests
         assert _tl_dict(tl2) == _tl_dict(tl), f"telemetry diverges from t={ck.time}"
 
 
-def test_faulted_restore_every_checkpoint_bit_identical():
-    cfg = _faulted_config()
+@pytest.mark.parametrize("case", list(FAULTED_RESTORE_CASES))
+def test_faulted_restore_every_checkpoint_bit_identical(case):
+    run = FAULTED_RESTORE_CASES[case]
     tl = MetricsTimeline()
-    base = _run_faulted(cfg, telemetry=tl)
+    base = run(telemetry=tl)
     assert base.checkpoints, "faulted run captured no checkpoints"
     labels = {ck.label for ck in base.checkpoints}
     assert "fault-boundary" in labels and "stride" in labels
     for ck in base.checkpoints:
         tl2 = MetricsTimeline()
-        res = _run_faulted(cfg, resume_from=_roundtrip(ck), telemetry=tl2)
+        res = run(resume_from=_roundtrip(ck), telemetry=tl2)
         assert _stats(res) == _stats(base), f"stats diverge from t={ck.time}"
         assert res.exec_result.value_digests == base.exec_result.value_digests
         assert _tl_dict(tl2) == _tl_dict(tl), f"telemetry diverges from t={ck.time}"
@@ -175,6 +262,19 @@ def test_checkpoint_kind_mismatch_rejected():
             min_copies=2,
             faults=plan,
             resume_from=dense_ck,
+        )
+
+
+def test_faulted_checkpoint_rejected_by_fault_free_run():
+    host = HostArray.uniform(16, delay=2)
+    plan = FaultPlan.empty().crash(8, 10).declare_horizon(200)
+    faulted_ck = simulate_overlap(
+        host, steps=8, min_copies=2, faults=plan, checkpoint_stride=8
+    ).checkpoints[0]
+    assert faulted_ck.kind == "faulted"
+    with pytest.raises(DeltaUnsupported):
+        simulate_overlap(
+            host, steps=8, min_copies=2, engine="dense", resume_from=faulted_ck
         )
 
 
@@ -337,6 +437,23 @@ class TestDeltaRunner:
         runner = self._seed(tmp_path, base)
         key = config_hash(_tag(), "1", base)
         runner.cache._ckpt_path(key).write_text("{torn", encoding="utf-8")
+        got = runner.map(_edit_point, edits)
+        assert runner.last_delta_hits == 0
+        assert runner.last_delta_fallbacks == len(edits)
+        ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
+        assert got == ref.map(_edit_point, edits)
+
+    def test_unversioned_blobs_fall_back_to_recompute(self, tmp_path):
+        """A sidecar written under another checkpoint layout (here: no
+        layout version at all) is declined, not mis-replayed."""
+        base = base_config(n=16, steps=8)
+        edits = edit_grid(base, k=2)
+        runner = self._seed(tmp_path, base)
+        path = runner.cache._ckpt_path(config_hash(_tag(), "1", base))
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        for blob in sidecar["checkpoints"]:
+            del blob["layout"]
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
         got = runner.map(_edit_point, edits)
         assert runner.last_delta_hits == 0
         assert runner.last_delta_fallbacks == len(edits)
