@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.killing import KillingResult
+from repro.core.killing import KillingResult, kill_and_label
 
 
 @dataclass
@@ -168,6 +168,19 @@ def assign_databases(
     asg = Assignment(ranges, n_prime * block, block)
     asg.validate()
     return asg
+
+
+def survivor_assignment(
+    host, dead, block: int = 1, c: float = 4.0, forced_dead=(), min_copies: int = 1
+) -> Assignment:
+    """The reduced assignment after the positions in ``dead`` crashed.
+
+    Re-runs OVERLAP's killing stages with ``dead`` (plus the workstations
+    ``forced_dead`` before the run) forced dead; at least two copies keep
+    the reduced assignment tolerant to the *next* crash.
+    """
+    killing = kill_and_label(host, c, forced_dead=set(forced_dead) | set(dead))
+    return assign_databases(killing, block, min_copies=max(2, min_copies))
 
 
 def steal_rebalance(

@@ -12,7 +12,7 @@ Three comparators, all stated in Section 1 / Section 3:
   credits: use only ``~ n / d_max`` processors so the inter-processor
   delay amortises over a bigger load.  Also run for real.
 
-All baselines reuse :class:`~repro.core.executor.GreedyExecutor` with
+All baselines run through :func:`~repro.core.pipeline.run_pipeline` with
 different assignments, so comparisons against OVERLAP are apples to
 apples (same engine, same program, same bandwidth model).
 """
@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 
 from repro.core.assignment import Assignment
-from repro.core.dense import build_executor
-from repro.core.executor import ExecResult, GreedyExecutor
-from repro.core.verify import verify_execution
-from repro.machine.guest import GuestArray
+from repro.core.executor import ExecResult
+from repro.core.pipeline import run_pipeline
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram, Program
 
@@ -71,6 +69,23 @@ def spread_assignment(n: int, m: int, positions: list[int] | None = None) -> Ass
     return asg
 
 
+def _run_baseline(
+    name: str, host: HostArray, assignment: Assignment, steps, program,
+    bandwidth, verify: bool, engine: str,
+) -> BaselineResult:
+    """Run a baseline's assignment (default ``max(4, m // 4)`` steps)."""
+    if steps is None:
+        steps = max(4, assignment.m // 4)
+    run = run_pipeline(
+        host, assignment, program or CounterProgram(), steps, bandwidth,
+        engine=engine, verify=verify,
+    )
+    return BaselineResult(
+        name, host, assignment, run.exec_result, steps,
+        run.exec_result.stats.makespan, run.verified,
+    )
+
+
 def simulate_single_copy(
     host: HostArray,
     m: int | None = None,
@@ -84,26 +99,11 @@ def simulate_single_copy(
 
     Default guest size ``m = n`` (load 1, like load-1 OVERLAP).
     """
-    program = program or CounterProgram()
-    m = m or host.n
-    steps = steps or max(4, m // 4)
-    assignment = spread_assignment(host.n, m)
-    exec_result = build_executor(
-        engine, host, assignment, program, steps, bandwidth
-    ).run()
-    verified = False
-    if verify:
-        reference = GuestArray(m, program).run_reference(steps)
-        verify_execution(exec_result, reference, program)
-        verified = True
-    return BaselineResult(
-        "single-copy",
-        host,
-        assignment,
-        exec_result,
-        steps,
-        exec_result.stats.makespan,
-        verified,
+    if m is None:
+        m = host.n
+    return _run_baseline(
+        "single-copy", host, spread_assignment(host.n, m), steps, program,
+        bandwidth, verify, engine,
     )
 
 
@@ -121,30 +121,15 @@ def simulate_prior_efficient(
     Evenly-spaced processors carry the whole guest in large blocks, so
     the per-step communication delay amortises over the block work.
     """
-    program = program or CounterProgram()
     n = host.n
     k = max(1, n // max(1, host.d_max))
     positions = [round(i * (n - 1) / max(1, k - 1)) for i in range(k)] if k > 1 else [0]
     positions = sorted(set(positions))
-    m = m or host.n
-    steps = steps or max(4, m // 4)
-    assignment = spread_assignment(n, m, positions)
-    exec_result = build_executor(
-        engine, host, assignment, program, steps, bandwidth
-    ).run()
-    verified = False
-    if verify:
-        reference = GuestArray(m, program).run_reference(steps)
-        verify_execution(exec_result, reference, program)
-        verified = True
-    return BaselineResult(
-        "prior-efficient",
-        host,
-        assignment,
-        exec_result,
-        steps,
-        exec_result.stats.makespan,
-        verified,
+    if m is None:
+        m = n
+    return _run_baseline(
+        "prior-efficient", host, spread_assignment(n, m, positions), steps,
+        program, bandwidth, verify, engine,
     )
 
 

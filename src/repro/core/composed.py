@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass
 
 from repro.core.assignment import Assignment, assign_databases
-from repro.core.dense import DenseExecutor, build_executor
 from repro.core.executor import ExecResult
 from repro.core.killing import KillingResult, kill_and_label
-from repro.core.verify import verify_execution
-from repro.machine.guest import GuestArray
+from repro.core.pipeline import run_pipeline
 from repro.machine.host import HostArray, HostGraph
 from repro.machine.programs import CounterProgram, Program
 from repro.topology.embedding import ArrayEmbedding, embed_linear_array
@@ -135,43 +133,20 @@ def simulate_composed(
     attaches a :class:`~repro.telemetry.timeline.MetricsTimeline`
     (both tiers).
     """
-    from repro.core.assignment import steal_rebalance
-    from repro.core.racing import resolve_policy
-
     program = program or CounterProgram()
-    exec_policy = resolve_policy(policy)
     killing = kill_and_label(host, c)
     if q is None:
         q = max(1, math.isqrt(int(round(host.d_ave))))
-    assignment = composed_assignment(killing, q, h0_block)
-    steal_moves: list = []
-    if exec_policy.stealing:
-        assignment, steal_moves = steal_rebalance(
-            assignment, host, faults=faults, seed=exec_policy.steal_seed
-        )
     if steps is None:
         steps = max(4, 2 * q)
-    executor = build_executor(
-        engine, host, assignment, program, steps, bandwidth,
-        telemetry=telemetry, faults=faults, policy=recovery,
-        exec_policy=exec_policy,
+    run = run_pipeline(
+        host, composed_assignment(killing, q, h0_block), program, steps,
+        bandwidth, engine=engine, policy=policy, faults=faults,
+        recovery=recovery, telemetry=telemetry, verify=verify,
     )
-    resolved = "dense" if isinstance(executor, DenseExecutor) else "greedy"
-    exec_result = executor.run()
-    if steal_moves:
-        exec_result.stats.extras["steal_moves"] = len(steal_moves)
-    verified = False
-    if verify:
-        # Reference built *after* the run: mid-run recovery may have
-        # shrunk the guest to the surviving prefix 1..m'.
-        reference = GuestArray(exec_result.assignment.m, program).run_reference(
-            steps
-        )
-        verify_execution(exec_result, reference, program)
-        verified = True
     return ComposedResult(
-        host, killing, assignment, exec_result, steps, q, verified,
-        engine=resolved,
+        host, killing, run.assignment, run.exec_result, steps, q,
+        run.verified, engine=run.engine,
     )
 
 

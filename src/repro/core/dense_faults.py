@@ -43,6 +43,9 @@ ring and graph topologies.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.core.assignment import survivor_assignment
 from repro.core.checkpoint import ExecutorCheckpoint
 from repro.core.dense import _CHECK, _REQ, _RESUME, DenseExecutor
 from repro.netsim.faults import RecoveryPolicy
@@ -192,16 +195,11 @@ class FaultedDenseExecutor(DenseExecutor):
         push(now + self._stream_timeout(p, q2), (_CHECK, p, c, ep))
 
     # -- reassignment ----------------------------------------------------
-    def _default_reassign(self, dead: frozenset):
-        from repro.core.assignment import assign_databases
-        from repro.core.killing import kill_and_label
-
-        killing = kill_and_label(self.host, forced_dead=set(dead))
-        return assign_databases(killing, self.assignment.block, min_copies=2)
-
     def _reassign(self, dead):
         """The survivors' assignment for crashed set ``dead``."""
-        reassign = self.reassign or self._default_reassign
+        reassign = self.reassign or partial(
+            survivor_assignment, self.host, block=self.assignment.block
+        )
         try:
             return reassign(frozenset(dead))
         except ValueError as exc:

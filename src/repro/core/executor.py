@@ -29,8 +29,9 @@ per-pebble object allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.core.assignment import Assignment
+from repro.core.assignment import Assignment, survivor_assignment
 from repro.machine.database import Database
 from repro.machine.host import HostArray
 from repro.machine.mixing import fold_s
@@ -200,9 +201,9 @@ class GreedyExecutor:
         to inject during the run; a plan with an effect inside the
         horizon turns on the fault machinery of :meth:`run` (``policy``
         tunes detection/recovery, ``reassign`` maps a dead-position set
-        to a reduced :class:`Assignment` — default: re-run OVERLAP's
-        killing stages with ``min_copies=2``).  An empty or effect-free
-        plan runs bit-identical to no plan.
+        to a reduced :class:`Assignment` — default:
+        :func:`~repro.core.assignment.survivor_assignment`).  An empty
+        or effect-free plan runs bit-identical to no plan.
 
         ``telemetry`` is an optional
         :class:`~repro.telemetry.timeline.MetricsTimeline` to fill with
@@ -851,16 +852,6 @@ class GreedyExecutor:
             self.host.distance(p, q) + self.assignment.load()
         )
 
-    def _default_reassign(self, dead: frozenset) -> Assignment:
-        """Re-run OVERLAP's killing stages with the crashed positions
-        forced dead; ``min_copies=2`` keeps the reduced assignment
-        tolerant to the *next* crash."""
-        from repro.core.assignment import assign_databases
-        from repro.core.killing import kill_and_label
-
-        killing = kill_and_label(self.host, forced_dead=set(dead))
-        return assign_databases(killing, self.assignment.block, min_copies=2)
-
     def _reconfigure(self, now: int, queue: EventQueue, stats: SimStats) -> int:
         """Mid-run recovery after a database-holding node crashed.
 
@@ -871,7 +862,9 @@ class GreedyExecutor:
         host steps.  Returns the new remaining-pebble count.
         """
         old_m = self.m
-        reassign = self.reassign or self._default_reassign
+        reassign = self.reassign or partial(
+            survivor_assignment, self.host, block=self.assignment.block
+        )
         try:
             assignment = reassign(frozenset(self._dead))
         except ValueError as exc:
@@ -961,8 +954,9 @@ def run_assignment(
     way); ``telemetry`` attaches a
     :class:`~repro.telemetry.timeline.MetricsTimeline` on both tiers.
     """
-    from repro.core.dense import build_executor
+    from repro.core.pipeline import run_pipeline
 
-    return build_executor(
-        engine, host, assignment, program, steps, bandwidth, telemetry=telemetry
-    ).run()
+    return run_pipeline(
+        host, assignment, program, steps, bandwidth, engine=engine,
+        telemetry=telemetry, verify=False,
+    ).exec_result

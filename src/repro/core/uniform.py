@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 
 from repro.core.assignment import Assignment
-from repro.core.dense import build_executor
-from repro.core.executor import ExecResult, GreedyExecutor
-from repro.core.verify import verify_execution
-from repro.machine.guest import GuestArray
+from repro.core.executor import ExecResult
+from repro.core.pipeline import run_pipeline
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram, Program
 from repro.netsim.links import batch_transit_time
@@ -110,16 +108,11 @@ def simulate_uniform(
     if steps is None:
         steps = max(4, 2 * q)
     assignment = uniform_assignment(n, q)
-    exec_result = build_executor(
-        engine, host, assignment, program, steps, bandwidth
-    ).run()
-    verified = False
-    if verify:
-        guest = GuestArray(assignment.m, program)
-        reference = guest.run_reference(steps)
-        verify_execution(exec_result, reference, program)
-        verified = True
-    return UniformResult(host, assignment, exec_result, steps, q, verified)
+    run = run_pipeline(
+        host, assignment, program, steps, bandwidth, engine=engine,
+        verify=verify,
+    )
+    return UniformResult(host, assignment, run.exec_result, steps, q, run.verified)
 
 
 def trapezium_census(d: int, q: int | None = None) -> dict:

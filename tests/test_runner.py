@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments import get_experiment, run_experiment
+from repro.delta import DeltaSpec, delta_task
+from repro.experiments import get_experiment, run_experiment, x5
 from repro.runner import (
     SweepCache,
     SweepRunner,
@@ -15,6 +16,7 @@ from repro.runner import (
     sweep,
     using,
 )
+from repro.service.tasks import overlap_point
 
 
 def _square(cfg: dict) -> dict:
@@ -291,3 +293,71 @@ class TestProgressMeter:
         stream = io.StringIO()
         SweepRunner(progress=True, stream=stream).map(_square, [{"x": 1}])
         assert stream.getvalue().endswith("\n")
+
+
+def _capture_refused(*args):
+    raise AssertionError("captured checkpoints that no cache will store")
+
+
+@delta_task(DeltaSpec(rules={}, capture=_capture_refused, resume=_capture_refused))
+def _delta_square(cfg: dict) -> dict:
+    """Delta-aware task whose hooks fail: only a cached run may capture."""
+    return _square(cfg)
+
+
+def _overlap_stages() -> list[list[dict]]:
+    return [[{"n": 16 + 4 * i, "steps": 6, "verify": True} for i in range(4)]]
+
+
+def _edit_stages() -> list[list[dict]]:
+    base = x5.base_config(n=16, steps=6)
+    # Two bases so a parallel map sends captures through the pool; the
+    # edits of the first are then served by delta suffix replay.
+    return [[base, x5.base_config(n=20, steps=6)], x5.edit_grid(base, k=3)]
+
+
+class TestOneRunPath:
+    """``map`` and ``submit``, inline and on the pool, share one compute
+    path: same results, same cache bytes, same capture rule."""
+
+    def test_uncached_runs_skip_capture(self):
+        runner = SweepRunner(workers=1)
+        assert runner.map(_delta_square, [{"x": 3}]) == [{"value": 9, "seed": None}]
+        ticket = runner.submit(_delta_square, {"x": 3})
+        assert ticket.origin == "compute"
+        assert ticket.future.result(timeout=60) == {"value": 9, "seed": None}
+
+    @pytest.mark.parametrize(
+        "fn, stages",
+        [(overlap_point, _overlap_stages), (x5._edit_point, _edit_stages)],
+        ids=["overlap_point", "edit_point"],
+    )
+    def test_map_and_submit_write_identical_caches(self, tmp_path, fn, stages):
+        runs = {}
+        for mode in ("map", "submit"):
+            for workers in (1, 2):
+                root = tmp_path / f"{mode}-{workers}"
+                runner = SweepRunner(workers=workers, cache_dir=root)
+                results, delta_served = [], 0
+                for configs in stages():
+                    if mode == "map":
+                        results.append(runner.map(fn, configs))
+                        delta_served += runner.last_delta_hits
+                    else:
+                        tickets = [runner.submit(fn, cfg) for cfg in configs]
+                        results.append([t.future.result(timeout=120) for t in tickets])
+                        delta_served += sum(t.origin == "delta" for t in tickets)
+                files = {
+                    p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in sorted(root.rglob("*.json"))
+                }
+                runs[mode, workers] = (results, files, delta_served)
+        first = runs["map", 1]
+        for run in runs.values():
+            assert run == first
+        sidecars = [name for name in first[1] if name.endswith(".ckpt.json")]
+        if fn is x5._edit_point:
+            assert first[2] == 3  # every edit replayed a suffix
+            assert len(sidecars) == 5  # two bases and three edits
+        else:
+            assert first[2] == 0 and not sidecars
