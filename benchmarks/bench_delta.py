@@ -47,6 +47,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
+from repro.core.checkpoint import LAYOUT  # noqa: E402
 from repro.core.overlap import simulate_overlap  # noqa: E402
 from repro.experiments.x5 import _edit_point  # noqa: E402
 from repro.machine.host import HostArray  # noqa: E402
@@ -142,6 +143,9 @@ def bench_one_knob(
         t0 = time.perf_counter()
         seeder.map(_edit_point, [base])
         seed_wall = time.perf_counter() - t0
+        seed_key, _ = seeder.prepare(_edit_point, base)
+        seed_sidecar_bytes = seeder.cache._ckpt_path(seed_key).stat().st_size
+        seed_snapshots = len(seeder.cache.load_checkpoints(seed_key))
 
         def fresh_delta(i: int) -> SweepRunner:
             work = tmp / f"delta{i}"
@@ -180,6 +184,9 @@ def bench_one_knob(
         "delta_fallbacks": delta_runner.last_delta_fallbacks,
         "replayed_fraction": None if frac is None else round(frac, 4),
         "results_identical": True,
+        "checkpoint_layout": LAYOUT,
+        "seed_sidecar_bytes": seed_sidecar_bytes,
+        "seed_snapshots": seed_snapshots,
         "smoke": smoke,
     }
 
@@ -209,6 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{rec['delta_wall_s']}s -> {rec['speedup']}x speedup "
         f"({rec['delta_hits']} replays, {rec['delta_fallbacks']} fallbacks, "
         f"{'n/a' if frac is None else f'{100 * frac:.0f}%'} of run replayed)"
+    )
+    print(
+        f"[bench_delta] checkpoint layout {rec['checkpoint_layout']}: seeded "
+        f"sidecar {rec['seed_sidecar_bytes']:,} bytes, "
+        f"{rec['seed_snapshots']} snapshots"
     )
 
     payload = {

@@ -34,8 +34,10 @@ does; see the ``bench-smoke`` job).  Checks, in order:
    suffix-replay path >= 2x faster than the full-recompute miss path
    on the one-knob edit grid (>= 1.2x on smoke records, whose tiny
    runs spend comparatively more time in cache IO), with every edit
-   served by a replay (zero fallbacks) and the replayed rows asserted
-   identical to full recomputes.
+   served by a replay (zero fallbacks), the replayed rows asserted
+   identical to full recomputes, and the record measured under the
+   current checkpoint layout (``repro.core.checkpoint.LAYOUT``; a
+   record of another layout, or of none, is stale).
 7. **service latency** — ``BENCH_service.json`` must show the
    in-memory cache-hit p50 >= 20x cheaper than a cold-miss p50, all
    duplicate submissions coalesced onto exactly one execution, and
@@ -212,7 +214,12 @@ def check_delta(payload: dict) -> bool:
     edit in the one-knob grid must be served by a replay (a fallback
     means the blast-radius rules or the checkpoint coverage silently
     degraded), and the rows must be bit-identical to full recomputes.
+    The record must also carry the current checkpoint layout: one
+    measured under another sidecar encoding is stale.
     """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.checkpoint import LAYOUT
+
     rec = (payload.get("sections") or {}).get("one_knob")
     if not rec:
         return _fail(
@@ -240,6 +247,14 @@ def check_delta(payload: dict) -> bool:
         print(f"[bench_compare] delta grid: {hits}/{grid} replays, 0 fallbacks: ok")
     if not rec.get("results_identical", False):
         failed = _fail("delta run did not assert replayed == recomputed rows")
+    layout = rec.get("checkpoint_layout")
+    if layout != LAYOUT:
+        failed = _fail(
+            f"BENCH_delta.json measured checkpoint layout {layout!r}, not the "
+            f"current layout {LAYOUT} — regenerate it with bench_delta.py"
+        )
+    else:
+        print(f"[bench_compare] delta record on checkpoint layout {layout}: ok")
     return failed
 
 

@@ -26,23 +26,40 @@ replay-only-the-suffix move is the delta layer of :mod:`repro.delta` /
 guarantee the restored prefix is identical between the old and edited
 configs.
 
-The snapshot is plain integers/strings end to end, so
+Every table in the snapshot holds only integers, so
 :meth:`ExecutorCheckpoint.to_json` / :meth:`from_json` round-trip it
-losslessly through the sweep cache's JSON sidecar files.  The JSON form
-carries a :data:`LAYOUT` version; a blob written under any other layout
-(or none) is rejected as :class:`~repro.delta.DeltaUnsupported`, so a
-stale sidecar costs a full recompute instead of a mis-replayed suffix.
+losslessly through the sweep cache's JSON sidecar files.  Layout 3
+packs each integer table into columns ``[width, count, base64]``:
+``count`` signed little-endian integers of the narrowest ``width`` (1,
+2, 4 or 8 bytes) that holds them all.  A ragged table is a ``len``
+column plus one flat ``val`` column, keyed by a ``key`` column (tuple
+keys interleaved).  Scalars and the small fault-state fields stay plain
+JSON.  A blob written under any other :data:`LAYOUT` (or none), or one
+that cannot be decoded, is rejected as
+:class:`~repro.delta.DeltaUnsupported`, so a stale or corrupt sidecar
+costs a full recompute instead of a mis-replayed suffix.
 """
 
 from __future__ import annotations
 
+import base64
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.delta import DeltaUnsupported
 
-#: Version of the JSON layout (fields and pending-event tuples).  Bump
-#: it whenever either changes.
-LAYOUT = 2
+#: Version of the JSON layout (fields, column encoding and pending-event
+#: tuples).  Bump it whenever any of them changes.
+LAYOUT = 3
+
+#: Column width in bytes -> its signed ``struct`` code, narrowest first.
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: Integer scalars kept as plain JSON numbers.
+_INTS = (
+    "time", "epoch", "remaining", "makespan", "progress", "pebbles",
+    "messages", "injections", "lost_messages", "retries", "steps",
+)
 
 
 @dataclass
@@ -129,37 +146,37 @@ class ExecutorCheckpoint:
 
     # -- JSON round-trip -------------------------------------------------
     def to_json(self) -> dict:
-        """Lossless plain-JSON form (tuple keys flattened to lists)."""
+        """Lossless layout-3 JSON form, integer tables as packed columns.
+
+        Raises ``ValueError`` when an integer does not fit in int64.
+        """
+        ev = self.events
         return {
             "layout": LAYOUT,
-            "time": self.time,
-            "epoch": self.epoch,
             "label": self.label,
-            "remaining": self.remaining,
-            "makespan": self.makespan,
-            "progress": self.progress,
-            "pebbles": self.pebbles,
-            "messages": self.messages,
-            "injections": self.injections,
-            "lost_messages": self.lost_messages,
-            "retries": self.retries,
-            "watermarks": [[p, list(w)] for p, w in self.watermarks.items()],
-            "busy": [[p, bool(b)] for p, b in self.busy.items()],
-            "link_state": [list(row) for row in self.link_state],
-            "dead": sorted(self.dead),
-            "streams": [
-                [p, c, list(v)] for (p, c), v in self.streams.items()
-            ],
-            "steps": self.steps,
             "kind": self.kind,
             "first_top": self.first_top,
-            "events": [
-                [t, [list(ev) for ev in evs]] for t, evs in self.events
-            ],
-            "subscribers": [
-                [q, c, list(v)] for (q, c), v in self.subscribers.items()
-            ],
-            "holders": [[c, sorted(ps)] for c, ps in self.holders.items()],
+            **{name: getattr(self, name) for name in _INTS},
+            "watermarks": _table(self.watermarks, self.watermarks.values()),
+            "busy": {
+                "key": _pack(self.busy),
+                "val": _pack(self.busy.values()),
+            },
+            "link_state": _rows(self.link_state),
+            "streams": _table(chain(*self.streams), self.streams.values()),
+            "events": {
+                "time": _pack(t for t, _ in ev),
+                "count": _pack(len(evs) for _, evs in ev),
+                **_rows([e for _, evs in ev for e in evs]),
+            },
+            "subscribers": _table(
+                chain(*self.subscribers), self.subscribers.values()
+            ),
+            "holders": _table(
+                self.holders, [sorted(ps) for ps in self.holders.values()]
+            ),
+            "step_done": _pack(self.step_done),
+            "dead": sorted(self.dead),
             "last_out": [[j, d, t] for (j, d), t in self.last_out.items()],
             "reassign_dead": (
                 None if self.reassign_dead is None else sorted(self.reassign_dead)
@@ -168,7 +185,6 @@ class ExecutorCheckpoint:
             "drops_consumed": [list(row) for row in self.drops_consumed],
             "counters": dict(self.counters),
             "telemetry": self.telemetry,
-            "step_done": list(self.step_done),
         }
 
     @classmethod
@@ -176,43 +192,110 @@ class ExecutorCheckpoint:
         """Rebuild the in-memory snapshot from :meth:`to_json` output.
 
         Raises :class:`~repro.delta.DeltaUnsupported` when ``blob`` was
-        written under a different (or no) :data:`LAYOUT`.
+        written under a different (or no) :data:`LAYOUT`, or cannot be
+        decoded: a missing or mistyped field, bad base64, an unknown
+        width, or a column whose length disagrees with its table.
         """
-        if blob.get("layout") != LAYOUT:
+        layout = blob.get("layout") if isinstance(blob, dict) else None
+        if layout != LAYOUT:
             raise DeltaUnsupported(
-                f"checkpoint layout {blob.get('layout')!r} is not the "
-                f"current layout {LAYOUT}"
+                f"checkpoint layout {layout!r} is not the current "
+                f"layout {LAYOUT}"
             )
-        return cls(
-            time=blob["time"],
-            epoch=blob["epoch"],
-            label=blob["label"],
-            remaining=blob["remaining"],
-            makespan=blob["makespan"],
-            progress=blob["progress"],
-            pebbles=blob["pebbles"],
-            messages=blob["messages"],
-            injections=blob["injections"],
-            lost_messages=blob["lost_messages"],
-            retries=blob["retries"],
-            watermarks={p: list(w) for p, w in blob["watermarks"]},
-            busy={p: bool(b) for p, b in blob["busy"]},
-            link_state=[list(row) for row in blob["link_state"]],
-            dead=set(blob["dead"]),
-            streams={(p, c): list(v) for p, c, v in blob["streams"]},
-            steps=blob["steps"],
-            kind=blob["kind"],
-            first_top=blob["first_top"],
-            events=[
-                (t, [tuple(ev) for ev in evs]) for t, evs in blob["events"]
-            ],
-            subscribers={(q, c): list(v) for q, c, v in blob["subscribers"]},
-            holders={c: set(ps) for c, ps in blob["holders"]},
-            last_out={(j, d): t for j, d, t in blob["last_out"]},
-            reassign_dead=blob["reassign_dead"],
-            fault_log=list(blob["fault_log"]),
-            drops_consumed=[list(row) for row in blob["drops_consumed"]],
-            counters=dict(blob["counters"]),
-            telemetry=blob["telemetry"],
-            step_done=blob["step_done"],
-        )
+        try:
+            ints = {name: blob[name] for name in _INTS}
+            first_top = blob["first_top"]
+            if any(type(v) is not int for v in ints.values()) or not (
+                first_top is None or type(first_top) is int
+            ):
+                raise TypeError("a scalar field is not an integer")
+            busy, ev = blob["busy"], blob["events"]
+            flags = map(bool, _unpack(busy["val"]))
+            events = _split(_unrows(ev, tuple), _unpack(ev["count"]))
+            return cls(
+                **ints,
+                label=blob["label"],
+                kind=blob["kind"],
+                first_top=first_top,
+                watermarks=_untable(blob["watermarks"]),
+                busy=dict(zip(_unpack(busy["key"]), flags, strict=True)),
+                link_state=_unrows(blob["link_state"]),
+                dead=set(blob["dead"]),
+                streams=_untable(blob["streams"], pairs=True),
+                events=list(zip(_unpack(ev["time"]), events, strict=True)),
+                subscribers=_untable(blob["subscribers"], pairs=True),
+                holders=_untable(blob["holders"], kind=set),
+                last_out={(j, d): t for j, d, t in blob["last_out"]},
+                reassign_dead=blob["reassign_dead"],
+                fault_log=list(blob["fault_log"]),
+                drops_consumed=[list(row) for row in blob["drops_consumed"]],
+                counters=dict(blob["counters"]),
+                telemetry=blob["telemetry"],
+                step_done=list(_unpack(blob["step_done"])),
+            )
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise DeltaUnsupported(
+                f"undecodable checkpoint blob: {exc!r}"
+            ) from exc
+
+
+# -- packed columns --------------------------------------------------------
+
+
+def _pack(values) -> list:
+    """The integers of ``values`` as one column ``[width, count, base64]``:
+    signed little-endian, at the narrowest width that holds them all
+    (``struct`` range-checks every value at each width tried)."""
+    values = list(values)
+    for width, code in _CODES.items():
+        try:
+            data = struct.pack(f"<{len(values)}{code}", *values)
+        except struct.error:
+            continue
+        return [width, len(values), base64.b64encode(data).decode("ascii")]
+    raise ValueError("checkpoint column holds a value outside int64")
+
+
+def _unpack(column) -> tuple[int, ...]:
+    """The integers of one :func:`_pack` column."""
+    width, count, text = column
+    data = base64.b64decode(text, validate=True)
+    return struct.unpack(f"<{count}{_CODES[width]}", data)
+
+
+def _rows(rows) -> dict:
+    """A ragged table: a length column plus one flat value column."""
+    return {"len": _pack(map(len, rows)), "val": _pack(chain(*rows))}
+
+
+def _table(keys, rows) -> dict:
+    """A ragged table keyed by ``keys`` (tuple keys interleaved)."""
+    return {"key": _pack(keys), **_rows(rows)}
+
+
+def _split(values, lengths) -> list:
+    """Cut ``values`` into consecutive rows of ``lengths``."""
+    end = 0
+    # Each slice's start is read before the walrus moves ``end`` on.
+    rows = [values[end:(end := end + n)] for n in lengths]
+    if end != len(values) or min(lengths, default=0) < 0:
+        raise ValueError("length column does not match its values")
+    return rows
+
+
+def _unrows(table: dict, kind=list) -> list:
+    """The rows of a :func:`_rows` table, each a ``kind`` (list, tuple
+    or set)."""
+    values = _unpack(table["val"])
+    if kind is list:
+        values = list(values)
+    rows = _split(values, _unpack(table["len"]))
+    return rows if kind in (list, tuple) else list(map(kind, rows))
+
+
+def _untable(table: dict, pairs: bool = False, kind=list) -> dict:
+    """The dict of a :func:`_table` table (2-tuple keys when ``pairs``)."""
+    keys = _unpack(table["key"])
+    if pairs:
+        keys = zip(keys[::2], keys[1::2], strict=True)
+    return dict(zip(keys, _unrows(table, kind), strict=True))

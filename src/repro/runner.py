@@ -304,14 +304,17 @@ class SweepCache:
         return out
 
     def load_checkpoints(self, key: str) -> list:
-        """Raw checkpoint blobs from ``key``'s sidecar ([] if none)."""
+        """Raw checkpoint blobs from ``key``'s sidecar ([] if none);
+        entries that are not JSON objects are dropped."""
         try:
             with open(self._ckpt_path(key), "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
             return []
-        blobs = data.get("checkpoints")
-        return blobs if isinstance(blobs, list) else []
+        blobs = data.get("checkpoints") if isinstance(data, dict) else None
+        if not isinstance(blobs, list):
+            return []
+        return [b for b in blobs if isinstance(b, dict)]
 
     def clear(self) -> int:
         """Delete every entry (and sidecar); returns entries removed."""
@@ -930,9 +933,10 @@ class SweepRunner:
         by construction; shipping checkpoint blobs to workers is not).
 
         Each job restores its matched checkpoint under the new config
-        and replays the suffix; a checkpoint the executors decline
-        (:class:`repro.delta.DeltaUnsupported`, or missing blobs) falls
-        back to a full capture — or raises under ``delta_strict``.  The
+        and replays the suffix; a checkpoint that does not decode or
+        that the executors decline (:class:`repro.delta.DeltaUnsupported`),
+        or missing blobs, falls back to a full capture — or raises
+        under ``delta_strict``.  The
         cached entry gets a *merged* checkpoint set: the base entry's
         blobs up to the restore point (still bit-valid for the new
         config — they precede the blast radius) plus the suffix's own

@@ -23,6 +23,7 @@ lives in ``tests/test_delta_props.py``).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -291,6 +292,158 @@ def test_fault_free_runs_capture_stride_checkpoints():
 
 
 # ---------------------------------------------------------------------------
+# checkpoint JSON layout: packed integer columns
+
+
+def _checkpoint(**fields) -> ExecutorCheckpoint:
+    scalars = dict(
+        time=9, epoch=1, label="stride", remaining=4, makespan=8,
+        progress=5, pebbles=5, messages=3, injections=2, lost_messages=0,
+        retries=0,
+    )
+    return ExecutorCheckpoint(**{**scalars, **fields})
+
+
+def _assert_same_snapshot(got: ExecutorCheckpoint, want: ExecutorCheckpoint):
+    """Field-by-field equality, dict key order and plain Python ints."""
+
+    def ints_only(value, where):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                ints_only(k, where)
+                ints_only(v, where)
+        elif isinstance(value, (list, tuple, set)):
+            for v in value:
+                ints_only(v, where)
+        else:
+            assert type(value) in (int, bool), f"{where}: {type(value)}"
+
+    assert got == want
+    for name in ("watermarks", "busy", "streams", "subscribers", "holders"):
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+        ints_only(getattr(got, name), name)
+    for name in ("link_state", "events", "step_done", "dead"):
+        ints_only(getattr(got, name), name)
+    assert all(type(b) is bool for b in got.busy.values())
+
+
+EDGE_CHECKPOINTS = {
+    "empty tables": _checkpoint(),
+    "empty holder set and ragged rows": _checkpoint(
+        watermarks={3: [1, 2, 9], 0: [], 2: [4]},
+        busy={3: True, 0: False, 2: True},
+        link_state=[[-1, 0, 5], [], [-1, -1], [7]],
+        streams={(3, 1): [0, 1, 2, 3], (0, 5): [2, 0, 0, -1]},
+        events=[(9, [(1, 0, 2, 3, 4, 1), (6, 0)]), (11, []), (12, [(2, 3)])],
+        subscribers={(2, 7): [1, 3], (0, 0): []},
+        holders={5: {2, 0, 1}, 1: set(), 3: {4}},
+        step_done=[0, 3, 8],
+        dead={4},
+        reassign_dead=[4],
+        last_out={(1, -1): 7},
+    ),
+    "int64 extremes": _checkpoint(
+        watermarks={1: [2**63 - 1, -(2**63)], 0: [2**40]},
+        link_state=[[-1] * 3, [2**31], [-(2**31) - 1], [2**15]],
+        events=[(2**33, [(0, 2**62, -1)])],
+        step_done=[0, 2**63 - 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CHECKPOINTS))
+def test_layout_round_trip_at_the_edges(case):
+    ck = EDGE_CHECKPOINTS[case]
+    _assert_same_snapshot(_roundtrip(ck), ck)
+    # Equal snapshots encode to equal bytes.
+    again = json.dumps(_roundtrip(ck).to_json())
+    assert again == json.dumps(ck.to_json())
+
+
+def test_layout_round_trips_every_captured_snapshot():
+    for run in (_faulted_line, DENSE_RESTORE_CASES["mesh"]):
+        checkpoints = run().checkpoints
+        assert checkpoints
+        for ck in checkpoints:
+            _assert_same_snapshot(_roundtrip(ck), ck)
+
+
+@pytest.mark.parametrize(
+    "values, width",
+    [
+        ([], 1),
+        ([-1, 0, 127, -128], 1),
+        ([128], 2),
+        ([-129, 5], 2),
+        ([2**15], 4),
+        ([-(2**31)], 4),
+        ([2**31], 8),
+        ([-(2**63), 2**63 - 1], 8),
+    ],
+)
+def test_layout_columns_take_the_narrowest_width(values, width):
+    column = _checkpoint(step_done=values).to_json()["step_done"]
+    assert column[:2] == [width, len(values)]
+    assert _roundtrip(_checkpoint(step_done=values)).step_done == values
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_layout_rejects_values_outside_int64(value):
+    with pytest.raises(ValueError, match="int64"):
+        _checkpoint(watermarks={0: [1, value]}).to_json()
+
+
+def _blob_without_events(blob):
+    del blob["events"]
+    return blob
+
+
+def _blob_with_truncated_column(blob):
+    column = blob["watermarks"]["val"]
+    column[2] = column[2][: len(column[2]) // 2]
+    return blob
+
+
+def _blob_with_bad_lengths(blob):
+    # Flip the low bit of the first row length: the lengths no longer
+    # sum to the number of values.
+    column = blob["watermarks"]["len"]
+    raw = bytearray(base64.b64decode(column[2]))
+    raw[0] ^= 1
+    column[2] = base64.b64encode(bytes(raw)).decode("ascii")
+    return blob
+
+
+#: Sidecar corruptions: each turns every checkpoint blob into one that
+#: ``from_json`` must decline.
+MALFORMED_BLOBS = {
+    "missing field": _blob_without_events,
+    "not an object": lambda blob: "not a checkpoint",
+    "truncated column": _blob_with_truncated_column,
+    "length mismatch": _blob_with_bad_lengths,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_BLOBS))
+def test_from_json_declines_malformed_blobs(case):
+    ck = _faulted_line().checkpoints[-1]
+    blob = MALFORMED_BLOBS[case](json.loads(json.dumps(ck.to_json())))
+    with pytest.raises(DeltaUnsupported):
+        ExecutorCheckpoint.from_json(blob)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("time", "9"), ("first_top", 1.5), ("events", []), ("step_done", [1, 2])],
+)
+def test_from_json_declines_mistyped_fields(field, value):
+    blob = _checkpoint().to_json()
+    blob[field] = value
+    with pytest.raises(DeltaUnsupported):
+        ExecutorCheckpoint.from_json(blob)
+
+
+# ---------------------------------------------------------------------------
 # blast-radius rules
 
 
@@ -459,6 +612,63 @@ class TestDeltaRunner:
         assert runner.last_delta_fallbacks == len(edits)
         ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
         assert got == ref.map(_edit_point, edits)
+
+    @pytest.mark.parametrize("mode", ["map", "submit"])
+    @pytest.mark.parametrize("case", list(MALFORMED_BLOBS))
+    def test_malformed_blobs_fall_back_to_recompute(self, tmp_path, case, mode):
+        """A sidecar whose blobs do not decode is declined and
+        recomputed (or refused under ``delta_strict``), never crashes
+        the sweep."""
+        base = base_config(n=16, steps=8)
+        edits = edit_grid(base, k=2)
+        runner = self._seed(tmp_path, base)
+        path = runner.cache._ckpt_path(config_hash(_tag(), "1", base))
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar["checkpoints"] = [
+            MALFORMED_BLOBS[case](blob) for blob in sidecar["checkpoints"]
+        ]
+        path.write_text(json.dumps(sidecar), encoding="utf-8")
+        ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
+        want = ref.map(_edit_point, edits)
+        if mode == "map":
+            strict = SweepRunner(
+                cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
+            )
+            with pytest.raises(RuntimeError, match="delta-strict"):
+                strict.map(_edit_point, edits)
+            assert runner.map(_edit_point, edits) == want
+            assert runner.last_delta_hits == 0
+            assert runner.last_delta_fallbacks == len(edits)
+        else:
+            tickets = [runner.submit(_edit_point, cfg) for cfg in edits]
+            assert [t.future.result(timeout=120) for t in tickets] == want
+
+    def test_second_generation_delta_through_merged_sidecar(self, tmp_path):
+        """An edit served from an entry that was itself a delta hit: its
+        merged sidecar (the neighbour's prefix blobs passed through as
+        they were, plus the suffix's own captures) restores cleanly."""
+
+        def shifted(cfg, by):
+            cfg = json.loads(json.dumps(cfg))
+            ev = max(cfg["faults"]["events"], key=lambda e: e["time"])
+            ev["time"] += by
+            return cfg
+
+        base = base_config(n=24, steps=10)
+        edit_a, edit_b = shifted(base, 2), shifted(base, 3)
+        runner = self._seed(tmp_path, base)
+        runner.map(_edit_point, [edit_a])
+        assert runner.last_delta_hits == 1
+        key = config_hash(_tag(), "1", base)
+        runner.cache._path(key).unlink()
+        runner.cache._ckpt_path(key).unlink()
+        strict = SweepRunner(
+            cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
+        )
+        got = strict.map(_edit_point, [edit_b])
+        assert strict.last_delta_hits == 1
+        ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
+        assert got == ref.map(_edit_point, [edit_b])
 
     def test_profile_records_delta(self, tmp_path):
         base = base_config(n=16, steps=8)
