@@ -12,7 +12,7 @@ Run:  python examples/stencil2d_emulation.py
 """
 
 from repro.analysis.report import print_kv, print_table
-from repro.core.twodim import simulate_2d_on_uniform_array, twodim_slowdown_estimate
+from repro.core.ndim import simulate_2d_on_uniform_array, twodim_slowdown_estimate
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
         {
             "guest": f"{m}x{m} array, unit delays",
             "host link delay": d,
-            "program": "stencil2d (database model)",
+            "program": "stencil-nd (database model)",
         },
         title="Setup",
     )

@@ -96,7 +96,7 @@ def calibrate_theorem7_case2(
     steps, i.e. per-step compute ``~ 3 m g`` — so c1 should land near
     (and below) 3.
     """
-    from repro.core.twodim import simulate_2d_on_uniform_array
+    from repro.core.ndim import simulate_2d_on_uniform_array
 
     configs = list(configs or [(12, 6, 4), (12, 4, 4), (16, 4, 8), (16, 2, 8)])
     feats, slows = [], []

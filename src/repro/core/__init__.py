@@ -23,7 +23,8 @@ Layering (bottom to top):
   (Theorem 4, Figure 4).
 * :mod:`composed`   — the ``sqrt(d_ave) log^3 n`` composition
   (Theorems 5, 6).
-* :mod:`twodim`     — 2-D guests on linear hosts (Theorems 7, 8).
+* :mod:`ndim`       — ``m^D`` guests on linear hosts: Theorems 7, 8 at
+  ``D = 2`` and their higher-dimensional generalization.
 * :mod:`baselines`  — naive / single-copy / prior-art comparators.
 * :mod:`verify`     — bit-exact comparison against the reference run.
 """
@@ -42,7 +43,7 @@ from repro.core.baselines import (
     simulate_lockstep_bound,
     simulate_prior_efficient,
 )
-from repro.core.twodim import simulate_2d_on_uniform_array, twodim_slowdown_estimate
+from repro.core.ndim import simulate_2d_on_uniform_array, twodim_slowdown_estimate
 from repro.core.verify import VerificationError, verify_execution
 from repro.core.ring import RingResult, simulate_ring
 from repro.core.dataflow import DataflowResult, simulate_dataflow

@@ -43,7 +43,7 @@ from repro.machine.pebbles import (
     initial_value,
 )
 from repro.machine.programs import DataflowProgram, Program
-from repro.netsim.links import batch_transit_time
+from repro.netsim.links import batch_transit_time, check_bandwidth
 
 
 class _Proc:
@@ -144,6 +144,7 @@ def simulate_dataflow(
         steps = 2 * q
     if bandwidth is None:
         bandwidth = max(1, math.ceil(math.log2(max(2, n_procs))))
+    check_bandwidth(bandwidth)
 
     procs = [_Proc(j, j * b + 1, (j + 1) * b, m) for j in range(n_procs)]
     counter = [0]

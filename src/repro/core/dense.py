@@ -85,6 +85,7 @@ from repro.machine.host import HostArray
 from repro.machine.mixing import mix2_v
 from repro.machine.programs import Program
 from repro.netsim.faults import LOST
+from repro.netsim.links import check_bandwidth
 from repro.netsim.stats import SimStats, latencies_from_completions
 
 #: Engine names accepted by the simulation front-ends.
@@ -234,6 +235,7 @@ class DenseExecutor:
         self.bandwidth = (
             host.default_bandwidth() if bandwidth is None else bandwidth
         )
+        check_bandwidth(self.bandwidth)
         self.m = assignment.m
         self.used = assignment.used_positions()
         self.dep_map = dep_map

@@ -1,18 +1,23 @@
-"""Higher-dimensional guests on linear hosts (Theorem 8, generalized).
+"""Slab simulation of ``m^D`` guests on linear hosts (Section 5).
 
-The paper closes Section 5 with "Theorem 8 can be generalized to
-higher dimensional arrays".  This module carries the 2-D slab
-algorithm of :mod:`repro.core.twodim` to ``m^D`` guests: the guest is
-sliced along its **last axis** into hyperslabs of ``g`` slices, one
-per host processor; processors work in batches of ``tau = g`` steps,
-recomputing a shrinking halo wedge (now a ``(D-1)``-dimensional slab
-per halo slice) and exchanging exactly the missed wedge afterwards.
+Theorem 7 (an ``m x m`` guest on the uniform-delay array ``H0``) and
+the paper's closing remark that "Theorem 8 can be generalized to
+higher dimensional arrays" are one algorithm, run here for every
+``D >= 2``.  The guest is sliced along its **last axis** into slabs of
+``g = ceil(m / n0)`` slices, one per host processor.  Processors work
+in batches of ``tau = g`` steps: each computes its slab (own slices
+plus ``tau`` halo slices per side, whose databases are redundant
+copies) on a region that shrinks by one slice per side per step, and
+neighbours then exchange exactly the wedge of pebbles (values +
+updates) the shrinkage missed.  Case 1 of Theorem 7 (``d_ave < n0``)
+is the ``g = tau = 1`` instance of the same loop.
 
 Per batch an interior processor computes ``m^(D-1) * tau * (g + tau -
-1)`` pebbles — the same ``<= 3x`` redundancy constant as Theorem 7's
-case 2 — and the exchanged volume amortises the link latency over
-``g`` guest steps, giving the Theorem-8 shape
-``O(m^(D-1) + m^D / n0)`` per step on the uniform intermediate array.
+1)`` pebbles — Theorem 7's ``<= 3x`` redundancy constant — and the
+exchange amortises the link latency over ``g`` guest steps, giving
+``O(m^(D-1) + m^D / n0)`` per step on ``H0``.  Time is charged per
+phase: the busiest processor's pebbles, then the pipelined transit of
+the exchanged wedge (``d + ceil(P / bw) - 1``).
 
 Runs are verified cell-exactly against :class:`GuestND`'s reference.
 """
@@ -24,35 +29,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.killing import validate_steps
 from repro.machine.guestnd import (
     GuestND,
     ProgramND,
     StencilCounterND,
     _coord_mix,
+    _DB_SEED,
     _FRAME_SEED,
 )
 from repro.machine.mixing import mix2_v
-from repro.netsim.links import batch_transit_time
+from repro.netsim.links import batch_transit_time, check_bandwidth
 
 
 class _SlabProc:
-    """One host processor's hyperslab state."""
+    """One host processor: values, database states, update digests and
+    versions of its slab (global slices ``slo..shi``)."""
 
-    def __init__(self, m: int, dims: int, lo: int, hi: int, tau: int, prog: ProgramND):
-        self.m, self.dims = m, dims
-        self.lo, self.hi, self.tau = lo, hi, tau
+    def __init__(self, lo: int, hi: int, m: int, tau: int, prog: ProgramND,
+                 values: np.ndarray, states: np.ndarray, digests: np.ndarray):
+        self.lo, self.hi = lo, hi
         self.program = prog
         self.slo = max(1, lo - tau)
         self.shi = min(m, hi + tau)
-        self.width = self.shi - self.slo + 1
-        base = tuple([m] * (dims - 1))
-        self.base = base
         # Interior-only storage; frames are regenerated on demand.
-        full_states = prog.init_state_grid(tuple([m] * dims))
-        self.S = full_states[..., self.slo - 1 : self.shi].copy()
-        self.V: np.ndarray | None = None  # t=0 slab values, set by caller
-        self.Dg: np.ndarray | None = None  # update digests, set by caller
-        self.ver = np.zeros(self.width, dtype=np.int64)
+        slab = np.s_[..., self.slo - 1 : self.shi]
+        self.V = values[slab].copy()
+        self.S = states[slab].copy()
+        self.Dg = digests[slab].copy()
+        self.ver = np.zeros(self.shi - self.slo + 1, dtype=np.int64)
         self.log: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def li(self, c: int) -> int:
@@ -105,30 +110,25 @@ def simulate_nd_on_uniform_array(
         raise ValueError("use the 1-D executor for dims < 2")
     if m < 1 or n_procs < 1 or d < 1:
         raise ValueError("need m, n_procs, d >= 1")
-    program = program or StencilCounterND()
-    guest = GuestND(tuple([m] * dims), program)
     g = math.ceil(m / n_procs)
     tau = g
-    if steps is None:
-        steps = max(2, 2 * tau)
+    steps = max(2, 2 * tau) if steps is None else validate_steps(steps)
     if bandwidth is None:
         bandwidth = max(1, math.ceil(math.log2(max(2, n_procs))))
+    check_bandwidth(bandwidth)
+    program = program or StencilCounterND()
+    guest = GuestND(tuple([m] * dims), program)
 
-    P = math.ceil(m / g)
-    procs: list[_SlabProc] = []
-    init = guest.initial_grid()
     interior = tuple(slice(1, m + 1) for _ in range(dims))
-    init_interior = init[interior]
-    from repro.machine.guestnd import _DB_SEED
-
-    dig_full = _coord_mix(_DB_SEED, tuple([m] * dims), offset=1)
-    for p in range(P):
-        lo = p * g + 1
-        hi = min(m, (p + 1) * g)
-        proc = _SlabProc(m, dims, lo, hi, tau, program)
-        proc.V = init_interior[..., proc.slo - 1 : proc.shi].copy()
-        proc.Dg = dig_full[..., proc.slo - 1 : proc.shi].copy()
-        procs.append(proc)
+    values = guest.initial_grid()[interior]
+    states = program.init_state_grid(guest.shape)
+    digests = _coord_mix(_DB_SEED, guest.shape, offset=1)
+    P = math.ceil(m / g)
+    procs = [
+        _SlabProc(p * g + 1, min(m, (p + 1) * g), m, tau, program,
+                  values, states, digests)
+        for p in range(P)
+    ]
 
     cell_count = m ** (dims - 1)
     makespan = 0
@@ -146,6 +146,8 @@ def simulate_nd_on_uniform_array(
         compute_time = max(batch_pebbles)
         t_end = t0 + tau_b
 
+        # Exchange the missed wedge: halo slice lo - j (resp. hi + j)
+        # was locally advanced only to t_end - j.
         volume = 0
         for idx, proc in enumerate(procs):
             for j in range(1, tau + 1):
@@ -160,6 +162,8 @@ def simulate_nd_on_uniform_array(
                     if rows:
                         volume += 2 * _resync(proc, c, rows, t0 + 1)
         exchanged_total += volume
+        # Each direction of each link carries ~volume / (2P) of this;
+        # charge the busiest link, pipelined.
         per_link = math.ceil(volume / max(1, 2 * len(procs))) if volume else 0
         transit = batch_transit_time(per_link, d, bandwidth) if per_link else 0
         makespan += compute_time + transit
@@ -293,3 +297,33 @@ def ndim_slowdown_estimate(m: int, dims: int, n_procs: int, d: int) -> float:
     if g == 1:
         return cells + d
     return 3.0 * cells * g + d / g
+
+
+def simulate_2d_on_uniform_array(
+    m: int,
+    n_procs: int,
+    d: int,
+    steps: int | None = None,
+    program: ProgramND | None = None,
+    bandwidth: int | None = None,
+    verify: bool = True,
+) -> NDimResult:
+    """Theorem 7: an ``m x m`` guest on a uniform-delay-``d`` array."""
+    return simulate_nd_on_uniform_array(
+        m, 2, n_procs, d, steps, program, bandwidth, verify
+    )
+
+
+def twodim_slowdown_estimate(m: int, n_procs: int, d: int) -> float:
+    """Theorem 7's analytic slowdown ``O(m + m^2 / n0)``: ``m + d`` per
+    guest step in case 1 (``g == 1``), else ``~3 m g`` compute plus the
+    amortised latency ``d / g``."""
+    return ndim_slowdown_estimate(m, 2, n_procs, d)
+
+
+def theorem8_slowdown_estimate(m: int, d_ave: float) -> float:
+    """Theorem 8's combined form: ``O(sqrt(N) log^3 N +
+    N^(1/4) sqrt(d_ave) log^3 N)`` for an ``N = m^2``-node guest."""
+    N = m * m
+    lg = max(1.0, math.log2(max(2, N)))
+    return math.sqrt(N) * lg**3 + N**0.25 * math.sqrt(max(1.0, d_ave)) * lg**3

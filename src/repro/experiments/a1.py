@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from repro.core.overlap import simulate_overlap
-from repro.core.twodim import simulate_2d_on_uniform_array
+from repro.core.ndim import simulate_2d_on_uniform_array
 from repro.experiments.base import ExperimentResult
 from repro.machine.host import HostArray
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.core.overlap import simulate_overlap
-from repro.core.twodim import (
+from repro.core.ndim import (
     simulate_2d_on_uniform_array,
     theorem8_slowdown_estimate,
     twodim_slowdown_estimate,
@@ -60,7 +60,6 @@ def run(quick: bool = True, engine: str = "auto") -> ExperimentResult:
     host = HostArray.uniform(n0 * 2, d_ave)
     ov = simulate_overlap(host, steps=8, verify=False, engine=engine)
     composed = t7.slowdown * ov.slowdown
-    n_guest = m * m
     return ExperimentResult(
         "E6",
         "Theorems 7-8 - m x m guest arrays on linear hosts",
@@ -71,8 +70,6 @@ def run(quick: bool = True, engine: str = "auto") -> ExperimentResult:
                 r["redundancy"] <= 3.2 for r in rows
             ),
             "thm8 composed slowdown (measured t7 x overlap)": round(composed, 1),
-            "thm8 analytic form": round(
-                theorem8_slowdown_estimate(m, n_guest, d_ave), 1
-            ),
+            "thm8 analytic form": round(theorem8_slowdown_estimate(m, d_ave), 1),
         },
     )

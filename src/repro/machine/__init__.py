@@ -17,7 +17,8 @@ pebbles   : pebble coordinates, dependency rule, dependency cones.
 programs  : concrete guest programs (counter/ledger, dataflow, keyed
             store, token, polynomial hash chain).
 guest     : 1-D guest machines and the reference (ground-truth) executor.
-guest2d   : the m x m guest array of Section 5 and its reference executor.
+guestnd   : the m^D guest arrays of Section 5 (D = 2 is Theorem 7's
+            m x m guest) and their reference executor.
 host      : host descriptions (linear arrays with delays; general graphs).
 """
 
@@ -36,7 +37,7 @@ from repro.machine.programs import (
 )
 from repro.machine.udsl import UserProgram, check_determinism, program_from_step
 from repro.machine.guest import GuestArray, GuestRing, ReferenceRun
-from repro.machine.guest2d import Guest2D, ReferenceRun2D
+from repro.machine.guestnd import GuestND, ReferenceRunND
 from repro.machine.host import HostArray, HostGraph
 
 __all__ = [
@@ -60,8 +61,8 @@ __all__ = [
     "GuestArray",
     "GuestRing",
     "ReferenceRun",
-    "Guest2D",
-    "ReferenceRun2D",
+    "GuestND",
+    "ReferenceRunND",
     "HostArray",
     "HostGraph",
 ]

@@ -1,15 +1,17 @@
-"""D-dimensional guest arrays (the paper's "higher dimensional" remark).
+"""D-dimensional guest arrays (Section 5 and its "higher dimensional"
+remark).
 
-Section 5 closes with *"Theorem 8 can be generalized to higher
-dimensional arrays"*.  This module supplies the guest machine that
-generalization needs: an ``m^D`` array whose pebble ``(x, t)`` depends
-on its own previous pebble, its ``2D`` axis neighbours' previous
-pebbles, and a local database — plus the vectorised reference executor
-producing ground truth (values, update digests, final states).
+Section 5 simulates an ``m x m`` guest array (Theorem 7) and closes
+with *"Theorem 8 can be generalized to higher dimensional arrays"*.
+This module supplies the guest machine for both: an ``m^D`` array
+(``D = 2`` is Theorem 7's guest) whose pebble ``(x, t)`` depends on its
+own previous pebble, its ``2D`` axis neighbours' previous pebbles, and
+a local database — plus the vectorised reference executor producing
+ground truth (values, update digests, final states).
 
 A frame of boundary pebbles (known at time 0, value a hash of
 coordinates and time) surrounds the grid on every axis, mirroring the
-1-D and 2-D conventions.
+1-D convention.
 """
 
 from __future__ import annotations
@@ -106,6 +108,27 @@ class StencilCounterND(ProgramND):
             acc = mix2_s(acc, mix2_s(neg, pos))
         value = mix2_s(acc, up)
         return value, value
+
+
+class DataflowND(ProgramND):
+    """Memoryless stencil (the dataflow model, for contrast): the value
+    folds the axis neighbours and the cell's own previous value; the
+    updates are zero and the state never changes."""
+
+    name = "dataflow-nd"
+    uses_database = False
+
+    def init_state_grid(self, shape):
+        return np.zeros(shape, dtype=np.uint64)
+
+    def compute_grid(self, t, states, up, neighbours):
+        acc = up
+        for neg, pos in neighbours:
+            acc = mix2_v(acc, mix2_v(neg, pos))
+        return acc, np.zeros_like(acc)
+
+    def apply_grid(self, states, updates):
+        return states
 
 
 @dataclass

@@ -17,6 +17,12 @@ it is asserted to catch executor bugs early.
 from __future__ import annotations
 
 
+def check_bandwidth(bandwidth: int) -> None:
+    """Reject a link bandwidth below one pebble per step."""
+    if bandwidth < 1:
+        raise ValueError(f"link bandwidth must be >= 1, got {bandwidth}")
+
+
 class LinkPipe:
     """One direction of a pipelined, bandwidth-limited link.
 
@@ -37,8 +43,7 @@ class LinkPipe:
     def __init__(self, delay: int, bandwidth: int = 1) -> None:
         if delay < 1:
             raise ValueError(f"link delay must be >= 1, got {delay}")
-        if bandwidth < 1:
-            raise ValueError(f"link bandwidth must be >= 1, got {bandwidth}")
+        check_bandwidth(bandwidth)
         self.delay = int(delay)
         self.bandwidth = int(bandwidth)
         self._slot_time = -1  # last slot with any injection

@@ -21,7 +21,7 @@ def test_every_experiment_resolves():
         assert callable(get_experiment(exp_id))
 
 
-@pytest.mark.parametrize("exp_id", ["f1", "f3", "f5", "f6"])
+@pytest.mark.parametrize("exp_id", ["f1", "f3", "f5", "f6", "e6", "a1", "x2"])
 def test_cheap_experiments_run(exp_id):
     result = get_experiment(exp_id)(quick=True)
     assert isinstance(result, ExperimentResult)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import simulate_2d_on_uniform_array
+from repro.core.dataflow import simulate_dataflow
 from repro.core.killing import (
     kill_and_label,
     normalize_forced_dead,
     validate_steps,
 )
+from repro.core.ndim import simulate_nd_on_uniform_array
 from repro.core.overlap import simulate_overlap
+from repro.core.uniform import simulate_uniform
 from repro.machine.host import HostArray
 
 
@@ -102,3 +106,40 @@ def test_simulate_overlap_normalises_forced_dead_and_steps():
         simulate_overlap(host, steps=3.5)
     with pytest.raises(ValueError, match="outside"):
         simulate_overlap(host, steps=4, forced_dead={32})
+
+
+
+def _host():
+    return HostArray([1, 5, 1, 9, 1, 2, 7])
+
+
+# The 2-D slab runs on one processor: with no exchange to time, only an
+# up-front check rejects the bandwidth.
+SLAB_ENTRIES = {
+    "slab_2d": lambda **kw: simulate_2d_on_uniform_array(6, 1, 3, **kw),
+    "slab_nd": lambda **kw: simulate_nd_on_uniform_array(6, 3, 2, 3, **kw),
+}
+BANDWIDTH_ENTRIES = {
+    **SLAB_ENTRIES,
+    "dataflow": lambda **kw: simulate_dataflow(4, 4, steps=4, **kw),
+    "uniform": lambda **kw: simulate_uniform(4, 4, steps=4, **kw),
+    "overlap_dense": lambda **kw: simulate_overlap(
+        _host(), steps=6, engine="dense", **kw
+    ),
+    "overlap_greedy": lambda **kw: simulate_overlap(
+        _host(), steps=6, engine="greedy", **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("bandwidth", [0, -1])
+@pytest.mark.parametrize("entry", sorted(BANDWIDTH_ENTRIES))
+def test_bandwidth_below_one_rejected(entry, bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be >= 1"):
+        BANDWIDTH_ENTRIES[entry](bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("entry", sorted(SLAB_ENTRIES))
+def test_slab_negative_steps_rejected(entry):
+    with pytest.raises(ValueError, match="non-negative"):
+        SLAB_ENTRIES[entry](steps=-1, verify=False)

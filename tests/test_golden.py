@@ -10,9 +10,11 @@ and say why.
 
 import pytest
 
+from repro.core import simulate_2d_on_uniform_array
 from repro.core.assignment import assign_databases
 from repro.core.executor import GreedyExecutor
 from repro.core.killing import kill_and_label
+from repro.core.ndim import simulate_nd_on_uniform_array
 from repro.core.overlap import simulate_overlap
 from repro.core.ring import simulate_ring
 from repro.core.uniform import simulate_uniform
@@ -49,6 +51,36 @@ def test_uniform_run_pinned():
 def test_ring_run_pinned():
     res = simulate_ring(HostArray.uniform(8, 3), steps=6, verify=False)
     assert res.exec_result.stats.makespan == 36
+
+
+# -- slab simulator (Theorem 7 and its D-dimensional form) -------------
+# Timing fields only: value digests depend on the guest program.
+SLAB_CASES = {
+    "2d_case1": (simulate_2d_on_uniform_array, (10, 10, 4), {"steps": 4},
+                 (10, 1, 4, 72, 400, 1440)),
+    "2d_case2": (simulate_2d_on_uniform_array, (12, 4, 9), {"steps": 6},
+                 (4, 3, 6, 484, 1296, 1728)),
+    "2d_partial_batch": (simulate_2d_on_uniform_array, (8, 2, 3), {"steps": 5},
+                         (2, 4, 5, 324, 416, 448)),
+    "2d_bw1": (simulate_2d_on_uniform_array, (24, 24, 8),
+               {"steps": 4, "bandwidth": 1}, (24, 1, 4, 308, 2304, 8832)),
+    "2d_default_steps": (simulate_2d_on_uniform_array, (16, 4, 16), {},
+                         (4, 4, 8, 1166, 3200, 3840)),
+    "3d": (simulate_nd_on_uniform_array, (6, 3, 2, 4), {"steps": 6},
+           (2, 3, 6, 1302, 1728, 1728)),
+    "4d": (simulate_nd_on_uniform_array, (4, 4, 2, 4), {"steps": 4},
+           (2, 2, 4, 1030, 1280, 1536)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_CASES))
+def test_slab_run_pinned(name):
+    entry, args, kwargs, pins = SLAB_CASES[name]
+    res = entry(*args, **kwargs)
+    assert res.verified
+    got = (res.n_procs, res.g, res.steps, res.makespan, res.pebbles,
+           res.exchanged_cells)
+    assert got == pins
 
 
 def test_overlap_run_is_also_correct():

@@ -5,20 +5,23 @@ import pytest
 
 from repro.core.ndim import ndim_slowdown_estimate, simulate_nd_on_uniform_array
 from repro.machine.guestnd import (
+    DataflowND,
     GuestND,
     StencilCounterND,
     frame_value_nd,
     initial_value_nd,
     nd_digest_seed,
 )
+from repro.machine.mixing import tag_s
 
 
 class TestGuestND:
     def test_reference_shapes(self):
-        g = GuestND((4, 4, 4), StencilCounterND())
-        ref = g.run_reference(2)
-        assert ref.values.shape == (3, 6, 6, 6)
-        assert ref.update_digests.shape == (4, 4, 4)
+        for shape in [(4, 4, 4), (5, 5)]:
+            ref = GuestND(shape, StencilCounterND()).run_reference(2)
+            assert ref.values.shape == (3, *(s + 2 for s in shape))
+            assert ref.update_digests.shape == shape
+            assert ref.state_digests.shape == shape
 
     def test_initial_values_match_scalar(self):
         g = GuestND((3, 5), StencilCounterND())
@@ -32,9 +35,18 @@ class TestGuestND:
         assert int(ref.values[1][4, 2]) == frame_value_nd((4, 2), 1)
 
     def test_digest_seeds(self):
-        g = GuestND((3, 3, 3), StencilCounterND())
-        ref = g.run_reference(0)
-        assert int(ref.update_digests[1, 2, 0]) == nd_digest_seed((2, 3, 1))
+        # With zero steps the digests are the seeds.
+        for shape in [(3, 3, 3), (3, 3)]:
+            ref = GuestND(shape, StencilCounterND()).run_reference(0)
+            for idx in np.ndindex(*shape):
+                coords = tuple(i + 1 for i in idx)
+                assert int(ref.update_digests[idx]) == nd_digest_seed(coords)
+
+    def test_init_state_scalar_matches_grid(self):
+        grid = StencilCounterND().init_state_grid((5, 5))
+        for r in range(1, 6):
+            for c in range(1, 6):
+                assert int(grid[r - 1, c - 1]) == tag_s(0x3D, r, c)
 
     def test_scalar_cell_matches_grid(self):
         prog = StencilCounterND()
@@ -50,8 +62,20 @@ class TestGuestND:
         assert ref.pebble((2, 2), 1) == val
 
     def test_deterministic(self):
-        g = GuestND((4, 4, 4), StencilCounterND())
-        assert np.array_equal(g.run_reference(2).values, g.run_reference(2).values)
+        for shape, steps in [((4, 4, 4), 2), ((6, 6), 4)]:
+            g = GuestND(shape, StencilCounterND())
+            a, b = g.run_reference(steps), g.run_reference(steps)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.update_digests, b.update_digests)
+
+    def test_values_unique_in_small_grid(self):
+        ref = GuestND((4, 4), StencilCounterND()).run_reference(3)
+        interior = ref.values[1:, 1:5, 1:5].ravel().tolist()
+        assert len(set(interior)) == len(interior)
+
+    def test_dataflow_has_constant_state(self):
+        ref = GuestND((4, 4), DataflowND()).run_reference(3)
+        assert np.all(ref.state_digests == 0)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,13 @@
 """Section 5: the 2-D array simulation (Theorems 7-8)."""
 
-import math
-
 import pytest
 
-from repro.core.twodim import (
+from repro.core.ndim import (
     simulate_2d_on_uniform_array,
     theorem8_slowdown_estimate,
     twodim_slowdown_estimate,
 )
-from repro.machine.guest2d import Dataflow2DProgram
+from repro.machine.guestnd import DataflowND
 
 
 class TestCase1:
@@ -59,7 +57,7 @@ class TestCase2:
 
     def test_dataflow_program(self):
         res = simulate_2d_on_uniform_array(
-            6, 2, 4, steps=6, program=Dataflow2DProgram()
+            6, 2, 4, steps=6, program=DataflowND()
         )
         assert res.verified
 
@@ -72,8 +70,8 @@ class TestEstimates:
 
     def test_theorem8_shape(self):
         # For fixed m, growing d_ave raises only the second term.
-        a = theorem8_slowdown_estimate(32, 1024, 4)
-        b = theorem8_slowdown_estimate(32, 1024, 64)
+        a = theorem8_slowdown_estimate(32, 4)
+        b = theorem8_slowdown_estimate(32, 64)
         assert b > a
         assert b / a < 3  # sqrt(N) term dominates at small d
 
