@@ -17,11 +17,10 @@ from repro.machine.mixing import tag_s
 
 class TestGuestND:
     def test_reference_shapes(self):
-        for shape in [(4, 4, 4), (5, 5)]:
-            ref = GuestND(shape, StencilCounterND()).run_reference(2)
-            assert ref.values.shape == (3, *(s + 2 for s in shape))
-            assert ref.update_digests.shape == shape
-            assert ref.state_digests.shape == shape
+        ref = GuestND((4, 4, 4), StencilCounterND()).run_reference(2)
+        assert ref.values.shape == (3, 6, 6, 6)
+        assert ref.update_digests.shape == (4, 4, 4)
+        assert ref.state_digests.shape == (4, 4, 4)
 
     def test_initial_values_match_scalar(self):
         g = GuestND((3, 5), StencilCounterND())
@@ -36,11 +35,10 @@ class TestGuestND:
 
     def test_digest_seeds(self):
         # With zero steps the digests are the seeds.
-        for shape in [(3, 3, 3), (3, 3)]:
-            ref = GuestND(shape, StencilCounterND()).run_reference(0)
-            for idx in np.ndindex(*shape):
-                coords = tuple(i + 1 for i in idx)
-                assert int(ref.update_digests[idx]) == nd_digest_seed(coords)
+        ref = GuestND((3, 3, 3), StencilCounterND()).run_reference(0)
+        for idx in np.ndindex(3, 3, 3):
+            coords = tuple(i + 1 for i in idx)
+            assert int(ref.update_digests[idx]) == nd_digest_seed(coords)
 
     def test_init_state_scalar_matches_grid(self):
         grid = StencilCounterND().init_state_grid((5, 5))
@@ -62,11 +60,10 @@ class TestGuestND:
         assert ref.pebble((2, 2), 1) == val
 
     def test_deterministic(self):
-        for shape, steps in [((4, 4, 4), 2), ((6, 6), 4)]:
-            g = GuestND(shape, StencilCounterND())
-            a, b = g.run_reference(steps), g.run_reference(steps)
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.update_digests, b.update_digests)
+        g = GuestND((4, 4, 4), StencilCounterND())
+        a, b = g.run_reference(2), g.run_reference(2)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.update_digests, b.update_digests)
 
     def test_values_unique_in_small_grid(self):
         ref = GuestND((4, 4), StencilCounterND()).run_reference(3)
