@@ -8,8 +8,11 @@ the pipelined-link model would all move these numbers).  If a change
 and say why.
 """
 
+import hashlib
+
 import pytest
 
+from repro.cli import main
 from repro.core import simulate_2d_on_uniform_array
 from repro.core.assignment import assign_databases
 from repro.core.executor import GreedyExecutor
@@ -201,3 +204,41 @@ def test_greedy_only_run_pinned(name, telemetry):
     assert pins == GREEDY_PINS[name]
     if telemetry:
         assert totals == GREEDY_TIMELINE_PINS[name]
+
+
+# -- `repro trace` output -----------------------------------------------
+# First 16 hex digits of the sha256 of the command's stdout, or of its
+# --trace-out file (that run's stdout names the path).  Every tier must
+# print and write the same bytes.
+TRACE_CLI_CASES = {
+    "campus": ("--preset campus --steps 6 --block 2", "stdout",
+               "943bdc6a563bbf75"),
+    "campus_faults_telemetry": (
+        "--preset campus --steps 12 --block 4 --faults 7 --telemetry",
+        "stdout", "7a138e37db52420f"),
+    "outlier_ledger_faults_telemetry": (
+        "--preset dialup-outlier --steps 8 --block 8 --faults 3 "
+        "--program ledger --telemetry", "stdout", "768e4010e3fe5b39"),
+    "campus_faults_chrome": ("--preset campus --steps 6 --block 2 --faults 7",
+                             "file", "d8d25f22d370f0c8"),
+    "campus_chrome": ("--preset campus --steps 6 --block 2", "file",
+                      "a52df0ab172998c1"),
+}
+
+
+@pytest.mark.parametrize(
+    "engine", [None, "greedy"], ids=lambda e: e or "default"
+)
+@pytest.mark.parametrize("name", sorted(TRACE_CLI_CASES))
+def test_trace_cli_output_pinned(name, engine, tmp_path, capsys):
+    args, pinned, digest = TRACE_CLI_CASES[name]
+    argv = ["trace", *args.split()]
+    out = tmp_path / "run.json"
+    if pinned == "file":
+        argv += ["--trace-out", str(out)]
+    if engine is not None:
+        argv += ["--engine", engine]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    data = out.read_bytes() if pinned == "file" else stdout.encode()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
