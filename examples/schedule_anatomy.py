@@ -13,40 +13,32 @@ Run:  python examples/schedule_anatomy.py
 """
 
 from repro.analysis.report import print_kv
-from repro.core.assignment import assign_databases
-from repro.core.executor import GreedyExecutor
-from repro.core.killing import kill_and_label
+from repro.core.overlap import simulate_overlap
 from repro.machine.host import HostArray
-from repro.machine.programs import CounterProgram
-from repro.netsim.trace import Trace
+from repro.telemetry import MetricsTimeline
 
 
 def run_traced(block: int, steps: int = 24):
     delays = [1] * 63
     delays[31] = 256  # the terrible link, at the top-level split
     host = HostArray(delays)
-    killing = kill_and_label(host)
-    assignment = assign_databases(killing, block=block)
-    trace = Trace()
-    executor = GreedyExecutor(
-        host, assignment, CounterProgram(), steps, trace=trace
-    )
-    executor.run()
-    return host, trace
+    timeline = MetricsTimeline()
+    simulate_overlap(host, steps=steps, block=block, telemetry=timeline)
+    return host, timeline
 
 
 def main() -> None:
     steps = 24
     for block in (1, 8):
-        host, trace = run_traced(block, steps)
+        host, timeline = run_traced(block, steps)
         print(f"\n===== block beta = {block} (d_max = {host.d_max}) =====")
-        print_kv(trace.summary(), title="run")
+        print_kv(timeline.run_summary(), title="run")
         print("\nspace-time diagram (x: host position, y: time):")
-        print(trace.spacetime_ascii(host.n, width=64, height=14))
-        per_row = trace.per_row_slowdown()
+        print(timeline.spacetime_ascii(host.n, width=64, height=14))
+        per_row = timeline.per_row_slowdown()
         profile = " ".join(f"{inc:>3}" for _, inc in per_row)
         print(f"\nper-row host steps: {profile}")
-        print(f"slowdown: {trace.makespan / steps:.1f}")
+        print(f"slowdown: {timeline.makespan / steps:.1f}")
 
     print(
         "\nWith beta=1 the overlap window at the long link is ~2 columns, "

@@ -124,28 +124,17 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.assignment import assign_databases
-    from repro.core.executor import GreedyExecutor, SimulationDeadlock
-    from repro.core.killing import kill_and_label
+    from repro.core.executor import SimulationDeadlock
+    from repro.core.overlap import simulate_overlap
     from repro.machine.host import HostArray
     from repro.machine.programs import get_program
     from repro.netsim.faults import FaultPlan
-    from repro.netsim.trace import Trace
+    from repro.telemetry import MetricsTimeline, write_chrome_trace
     from repro.topology.presets import get_preset
 
     host = get_preset(args.preset)
     if not isinstance(host, HostArray):
         print(f"preset {args.preset!r} is a graph host; trace needs an array", file=sys.stderr)
-        return 2
-    if args.engine == "dense":
-        print(
-            "trace always runs on the greedy tier: the space-time diagram "
-            "and --trace-out need per-event trace hooks the dense engine "
-            "does not record.  Use --engine auto/greedy here, or "
-            "`repro run --engine dense --telemetry` for dense-tier "
-            "telemetry without a trace.",
-            file=sys.stderr,
-        )
         return 2
     faults = None
     min_copies = 1
@@ -165,51 +154,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"fault plan (seed {args.faults}, rate {args.fault_rate}):")
         print(faults.describe())
         print()
-    trace = Trace()
-    telemetry = None
-    if args.telemetry or args.trace_out:
-        from repro.telemetry import MetricsTimeline
-
-        telemetry = MetricsTimeline()
-    program = get_program(args.program)
-    killing = kill_and_label(host)
-    assignment = assign_databases(killing, block=args.block, min_copies=min_copies)
+    timeline = MetricsTimeline()
     try:
-        result = GreedyExecutor(
-            host,
-            assignment,
-            program,
-            args.steps,
-            trace=trace,
-            faults=faults,
-            telemetry=telemetry,
-        ).run()
+        result = simulate_overlap(
+            host, get_program(args.program), args.steps, block=args.block,
+            faults=faults, min_copies=min_copies, engine=args.engine,
+            telemetry=timeline,
+        )
     except SimulationDeadlock as exc:
         print(f"SIMULATION DEADLOCK: {exc}", file=sys.stderr)
         return 1
     print(f"host: {host.name}  d_ave={host.d_ave:.2f}  d_max={host.d_max}")
-    print(f"guest: {assignment.m} columns, block beta={args.block}, {args.steps} steps")
-    for k, v in trace.summary().items():
+    print(f"guest: {result.m} columns, block beta={args.block}, {args.steps} steps")
+    for k, v in timeline.run_summary().items():
         print(f"  {k}: {v}")
-    if trace.fault_marks:
+    if timeline.faults:
         print("\nfault/recovery marks:")
-        for t, kind, detail in trace.fault_marks:
+        for t, kind, detail in timeline.faults:
             print(f"  t={t:>6} {kind}: {detail}")
     print("\nspace-time diagram (x: host position, y: time):")
-    print(trace.spacetime_ascii(host.n, width=72, height=18))
+    print(timeline.spacetime_ascii(host.n, width=72, height=18))
     if args.telemetry:
         print("\ntelemetry summary (per-step counters):")
-        for k, v in telemetry.summary().items():
+        for k, v in timeline.summary().items():
             print(f"  {k}: {v}")
-        telemetry.reconcile(result.stats)
-        print("\n" + telemetry.ascii_timeline(width=72, height=12))
+        timeline.reconcile(result.exec_result.stats)
+        print("\n" + timeline.ascii_timeline(width=72, height=12))
     if args.trace_out:
-        from repro.telemetry import write_chrome_trace
-
         doc = write_chrome_trace(
             args.trace_out,
-            timeline=telemetry,
-            trace=trace,
+            timeline=timeline,
             label=f"{args.preset} beta={args.block} T={args.steps}",
         )
         print(
@@ -217,7 +191,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{args.trace_out} (open in chrome://tracing or "
             "https://ui.perfetto.dev)"
         )
-    print(f"\nslowdown: {trace.makespan / args.steps:.1f}")
+    print(f"\nslowdown: {result.slowdown:.1f}")
     return 0
 
 

@@ -60,13 +60,14 @@ exactly the flat ``link_delays`` array of the embedded
 :class:`~repro.machine.host.HostArray`); ``tests/test_dense_faults.py``
 does the same under fault plans.
 
-Only tracing, multicast streams, scheduling jitter (``tie_seed``) and
+Only multicast streams, scheduling jitter (``tie_seed``) and
 redundant-issue racing still take the greedy engine;
 :func:`resolve_engine` encodes that selection rule for the
 ``engine="auto"`` front-ends.  Telemetry is supported on both tiers: an
 attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed
-inline, call for call like the greedy loop (the only feed that sees
-drops), and costs one ``None`` check per site when detached.
+inline, call for call like the greedy loop, so its per-step counters,
+fault marks and per-pebble records equal the greedy run's; detached,
+it costs one ``None`` check per site.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ _WATCH = 6
 def resolve_engine(
     engine: str,
     *,
-    trace=None,
     multicast: bool = False,
     tie_seed=None,
     exec_policy=None,
@@ -129,23 +129,21 @@ def resolve_engine(
     maps through the same watermark indices as the line adjacency.
     Neither are fault plans: faulted runs take the segmented
     :class:`~repro.core.dense_faults.FaultedDenseExecutor` tier (dense
-    between fault boundaries, bit-identical to greedy).  The fallback
-    reasons are tracing, multicast streams, scheduling jitter
+    between fault boundaries, bit-identical to greedy), and neither is an
+    attached telemetry timeline, which both tiers feed identically.  The
+    fallback reasons are multicast streams, scheduling jitter
     (``tie_seed``) and redundant-issue racing (``exec_policy``): raced
     subscriptions make delivery order value-dependent on which replica
     wins, which the dense skeleton's single-stream watermarks cannot
-    express.  The
-    *stealing* half of an :class:`~repro.core.racing.ExecPolicy` never
-    forces greedy — it is a pre-execution assignment rebalance both
-    tiers consume as-is.
+    express.  The *stealing* half of an
+    :class:`~repro.core.racing.ExecPolicy` never forces greedy — it is a
+    pre-execution assignment rebalance both tiers consume as-is.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "greedy":
         return "greedy"
     reasons = []
-    if trace is not None:
-        reasons.append("tracing")
     if multicast:
         reasons.append("multicast streams")
     if tie_seed is not None:
@@ -1052,8 +1050,8 @@ def build_executor(
     """Resolve the tier and construct the matching executor.
 
     ``greedy_kwargs`` are the feature knobs (``faults``, ``policy``,
-    ``trace``, ...).  Tracing, multicast, ``tie_seed`` and racing force
-    (or, under ``engine='auto'``, silently select) the greedy engine.
+    ``multicast``, ...).  Multicast, ``tie_seed`` and racing force (or,
+    under ``engine='auto'``, silently select) the greedy engine.
     ``telemetry``, ``dep_map``/``col_label`` and fault plans do not:
     both tiers support an attached
     :class:`~repro.telemetry.timeline.MetricsTimeline` and relabelled
@@ -1067,7 +1065,6 @@ def build_executor(
 
     resolved = resolve_engine(
         engine,
-        trace=greedy_kwargs.get("trace"),
         multicast=greedy_kwargs.get("multicast", False),
         tie_seed=greedy_kwargs.get("tie_seed"),
         exec_policy=greedy_kwargs.get("exec_policy"),

@@ -132,7 +132,6 @@ class GreedyExecutor:
         "m",
         "dep_map",
         "col_label",
-        "trace",
         "telemetry",
         "multicast",
         "_tie_seed",
@@ -174,7 +173,6 @@ class GreedyExecutor:
         bandwidth: int | None = None,
         dep_map: dict[int, tuple[int, int]] | None = None,
         col_label=None,
-        trace=None,
         multicast: bool = False,
         tie_seed: int | None = None,
         faults: FaultPlan | None = None,
@@ -207,9 +205,10 @@ class GreedyExecutor:
 
         ``telemetry`` is an optional
         :class:`~repro.telemetry.timeline.MetricsTimeline` to fill with
-        per-step counters.  :meth:`run` has one event loop for every
-        mode; the timeline only observes it (a ``None`` check per
-        recording site), so results are identical with or without one.
+        per-step counters, fault marks and one record per pebble.
+        :meth:`run` has one event loop for every mode; the timeline only
+        observes it (a ``None`` check per recording site), so results
+        are identical with or without one.
 
         ``exec_policy`` selects the issue discipline
         (:class:`~repro.core.racing.ExecPolicy` or a name string).
@@ -235,7 +234,6 @@ class GreedyExecutor:
         self.m = assignment.m
         self.dep_map = dep_map
         self.col_label = col_label or (lambda c: c)
-        self.trace = trace
         self.telemetry = telemetry
         self.multicast = multicast
         self.exec_policy = resolve_policy(exec_policy)
@@ -438,10 +436,10 @@ class GreedyExecutor:
     def run(self) -> ExecResult:
         """Execute the assignment: the executor's one event loop.
 
-        Every mode runs this loop.  Telemetry, tracing, multicast and
-        racing branch on locals bound once per run; what only a fault
-        run needs is gated by ``faulty`` (a plan with an effect inside
-        the horizon):
+        Every mode runs this loop.  Telemetry, multicast and racing
+        branch on locals bound once per run; what only a fault run
+        needs is gated by ``faulty`` (a plan with an effect inside the
+        horizon):
 
         * scripted ``_CRASH`` events and mid-run reconfiguration, whose
           epoch bump discards every event still in flight;
@@ -514,7 +512,6 @@ class GreedyExecutor:
         try_start = self._try_start
         push = queue.push
         pop = queue.pop
-        trace = self.trace
         multicast = self.multicast
         epoch = self._epoch
         makespan = 0
@@ -535,8 +532,6 @@ class GreedyExecutor:
                 progress += 1
                 if tl is not None:
                     tl.pebble(now, p, c, t)
-                if trace is not None:
-                    trace.record(now, p, c, t)
                 if now > makespan:
                     makespan = now
                 if now > sd[t]:
@@ -642,8 +637,6 @@ class GreedyExecutor:
                 self._dead.add(pos)
                 stats.crashed_nodes += 1
                 self._fault_log.append(f"t={now} crash node {pos}")
-                if trace is not None:
-                    trace.record_fault(now, "crash", f"node {pos}")
                 if tl is not None:
                     tl.fault(now, "crash", f"node {pos}")
                 for holders in self._holders.values():
@@ -716,8 +709,6 @@ class GreedyExecutor:
                     f"t={now} retry: {p} re-requests column {c} (past t={e[0]}) "
                     f"from {q2}"
                 )
-                if trace is not None:
-                    trace.record_fault(now, "retry", f"{p} col {c} from {q2}")
                 if tl is not None:
                     tl.fault(now, "retry", f"{p} col {c} from {q2}")
                 push(now + max(1, host.distance(p, q2)), _REQ, (q2, p, c, e[0], ep))
@@ -899,10 +890,6 @@ class GreedyExecutor:
             f"t={now} recovery: epoch {self._epoch}, m {old_m}->{self.m}, "
             f"resume at t={now + penalty}"
         )
-        if self.trace is not None:
-            self.trace.record_fault(
-                now, "recovery", f"epoch {self._epoch}: m {old_m}->{self.m}"
-            )
         if self.telemetry is not None:
             tl = self.telemetry
             tl.fault(now, "recovery", f"epoch {self._epoch}: m {old_m}->{self.m}")

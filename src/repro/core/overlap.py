@@ -218,15 +218,15 @@ def simulate_overlap(
         the fault-free fast path, or the segmented
         :class:`~repro.core.dense_faults.FaultedDenseExecutor` when a
         non-empty fault plan is scripted — and falls back to the greedy
-        event-driven engine only for tracing, multicast or ``tie_seed``
-        runs; ``"dense"`` / ``"greedy"`` force a tier (``"dense"``
-        raises if the config needs greedy-only machinery).  Both tiers
-        produce bit-identical results on any config ``auto`` would run
-        densely, fault plans included.
+        event-driven engine only for a racing ``policy``;
+        ``"dense"`` / ``"greedy"`` force a tier (``"dense"`` raises if
+        the config needs greedy-only machinery).  Both tiers produce
+        bit-identical results on any config ``auto`` would run densely,
+        fault plans and attached telemetry included.
     telemetry:
         Optional :class:`~repro.telemetry.timeline.MetricsTimeline` to
-        fill with per-step counters (and epoch/recovery spans on fault
-        runs).  Supported by *both* tiers — attaching one never changes
+        fill with per-step counters, one record per pebble, and fault
+        marks and epoch/recovery spans on fault runs.  Supported by *both* tiers — attaching one never changes
         the engine selection or the results; the filled timeline is
         returned on :attr:`OverlapResult.telemetry`.
     checkpoint_stride:

@@ -198,8 +198,9 @@ def row_deadlines(table: ScheduleTable, steps: int) -> list[float]:
 def check_row_deadlines(
     table: ScheduleTable, completion_times: dict[int, int]
 ) -> dict:
-    """Compare measured row-completion times (e.g. from a
-    :class:`~repro.netsim.trace.Trace`) against Theorem 1's deadlines.
+    """Compare measured row-completion times (e.g.
+    :meth:`~repro.telemetry.timeline.MetricsTimeline.row_completion_times`
+    of a run's timeline) against Theorem 1's deadlines.
 
     Returns the worst margin (``deadline - measured``; negative means a
     row *beat* its deadline is false — it missed it) and whether every

@@ -37,7 +37,6 @@ from repro.netsim.faults import (
     RecoveryPolicy,
 )
 from repro.netsim.stats import SimStats
-from repro.netsim.trace import Trace
 
 __all__ = [
     "Event",
@@ -52,5 +51,4 @@ __all__ = [
     "FaultTables",
     "RecoveryPolicy",
     "SimStats",
-    "Trace",
 ]

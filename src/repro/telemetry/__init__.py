@@ -7,12 +7,14 @@ is redundant recomputation.  End-of-run aggregates
 answers "why":
 
 :mod:`repro.telemetry.timeline`
-    :class:`MetricsTimeline` — per-step counters fed by both execution
-    tiers while a run is in flight: pebbles computed, redundant
-    recomputations, messages launched/delivered, link injections and
-    in-flight occupancy, lost messages, fault/recovery marks.  The
-    per-step series **sum to the run's final ``SimStats``** — enforced
-    by :meth:`MetricsTimeline.reconcile` and ``tests/test_telemetry.py``.
+    :class:`MetricsTimeline` — the one record of a run, fed by both
+    execution tiers while it is in flight: per-step counters (pebbles
+    computed, redundant recomputations, messages launched/delivered,
+    link injections and in-flight occupancy, lost messages),
+    fault/recovery marks, and one ``(t, pos, col, row)`` record per
+    pebble (wavefront, utilisation, space-time diagram).  The per-step
+    series **sum to the run's final ``SimStats``** — enforced by
+    :meth:`MetricsTimeline.reconcile` and ``tests/test_telemetry.py``.
 
 :mod:`repro.telemetry.spans`
     :class:`SpanLog` — named begin/end intervals (``epoch``,
@@ -20,7 +22,7 @@ answers "why":
     the ``with log.span("phase"):`` context manager.
 
 :mod:`repro.telemetry.chrome`
-    Export a run (pebble trace + timeline counters + spans) as Chrome
+    Export a run (pebble records + timeline counters + spans) as Chrome
     ``trace_event`` JSON, loadable in ``chrome://tracing`` or Perfetto
     (https://ui.perfetto.dev).
 
@@ -36,10 +38,9 @@ answers "why":
     execution counters against the runner's :class:`SweepProfile`.
 
 Telemetry is strictly opt-in and observational: with no
-:class:`MetricsTimeline` attached, the dense tier's timed loop is
-untouched and the greedy loop skips each recording site on one ``None``
-check, and an attached timeline never alters event order — results
-stay bit-identical either way
+:class:`MetricsTimeline` attached, both tiers skip each recording site
+on one ``None`` check, and an attached timeline never alters event
+order or the resolved tier — results stay bit-identical either way
 (``benchmarks/bench_telemetry.py`` is the overhead gate).
 """
 

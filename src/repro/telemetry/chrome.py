@@ -1,9 +1,8 @@
 """Chrome ``trace_event`` export for simulation runs.
 
-Turns a run's observability artifacts — the pebble-level
-:class:`~repro.netsim.trace.Trace`, the per-step
-:class:`~repro.telemetry.timeline.MetricsTimeline` counters, and any
-:class:`~repro.telemetry.spans.SpanLog` spans — into the JSON Object
+Turns a run's :class:`~repro.telemetry.timeline.MetricsTimeline` (its
+pebble records, per-step counters and fault marks) and any
+:class:`~repro.telemetry.spans.SpanLog` spans into the JSON Object
 Format consumed by ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): a ``{"traceEvents": [...]}`` document of
 ``"X"`` (complete), ``"i"`` (instant), ``"C"`` (counter) and ``"M"``
@@ -40,12 +39,12 @@ _COUNTER_TRACKS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def chrome_events(timeline=None, trace=None, spans=None, label: str = "run") -> list[dict]:
+def chrome_events(timeline=None, spans=None, label: str = "run") -> list[dict]:
     """Build the ``traceEvents`` list from whichever artifacts exist.
 
-    Any of ``timeline`` / ``trace`` / ``spans`` may be ``None``; each
-    contributes its own event families.  When ``spans`` is omitted but
-    ``timeline`` carries a span log, that log is exported.
+    Either of ``timeline`` / ``spans`` may be ``None``.  A timeline
+    contributes its pebble rows, fault marks and counter tracks; when
+    ``spans`` is omitted, the timeline's span log is exported.
     """
     events: list[dict] = [
         {
@@ -60,8 +59,8 @@ def chrome_events(timeline=None, trace=None, spans=None, label: str = "run") -> 
     body: list[dict] = []
     named_threads: dict[int, str] = {}
 
-    if trace is not None:
-        for time, pos, col, row in trace.records:
+    if timeline is not None:
+        for time, pos, col, row in timeline.records:
             body.append(
                 {
                     "ph": "X",
@@ -99,13 +98,8 @@ def chrome_events(timeline=None, trace=None, spans=None, label: str = "run") -> 
                 }
             )
 
-    fault_marks = None
-    if timeline is not None and timeline.faults:
-        fault_marks = timeline.faults
-    elif trace is not None and trace.fault_marks:
-        fault_marks = trace.fault_marks
-    if fault_marks:
-        for time, kind, detail in fault_marks:
+    if timeline is not None:
+        for time, kind, detail in timeline.faults:
             body.append(
                 {
                     "ph": "i",
@@ -119,7 +113,6 @@ def chrome_events(timeline=None, trace=None, spans=None, label: str = "run") -> 
                 }
             )
 
-    if timeline is not None:
         for track, names in _COUNTER_TRACKS:
             series = {name: timeline.series(name) for name in names}
             horizon = max((len(v) for v in series.values()), default=0)
@@ -153,20 +146,18 @@ def chrome_events(timeline=None, trace=None, spans=None, label: str = "run") -> 
     return events
 
 
-def to_chrome_trace(timeline=None, trace=None, spans=None, label: str = "run") -> dict:
+def to_chrome_trace(timeline=None, spans=None, label: str = "run") -> dict:
     """The full JSON-Object-Format document (``traceEvents`` + metadata)."""
     return {
-        "traceEvents": chrome_events(timeline=timeline, trace=trace, spans=spans, label=label),
+        "traceEvents": chrome_events(timeline=timeline, spans=spans, label=label),
         "displayTimeUnit": "ms",
         "otherData": {"time_unit": f"{TS_SCALE} us per simulated host step"},
     }
 
 
-def write_chrome_trace(
-    path, timeline=None, trace=None, spans=None, label: str = "run"
-) -> dict:
+def write_chrome_trace(path, timeline=None, spans=None, label: str = "run") -> dict:
     """Write the trace document to ``path``; returns the document."""
-    doc = to_chrome_trace(timeline=timeline, trace=trace, spans=spans, label=label)
+    doc = to_chrome_trace(timeline=timeline, spans=spans, label=label)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return doc

@@ -1,15 +1,14 @@
 """Per-step metrics timelines for simulation runs.
 
-A :class:`MetricsTimeline` is the sink both execution tiers feed while
-a run is in flight:
-
-* :class:`~repro.core.executor.GreedyExecutor` records from inside its
-  one event loop, which every mode shares (without a timeline each
-  recording site costs one ``None`` check and records nothing);
-* :class:`~repro.core.dense.DenseExecutor` replays its time-bucketed
-  event log through the timeline *after* the run (the bucket list **is**
-  the full event history, so dense telemetry costs nothing during the
-  timed simulation and cannot perturb it).
+A :class:`MetricsTimeline` is the one observer of a run.  Both
+execution tiers (:class:`~repro.core.executor.GreedyExecutor` and
+:class:`~repro.core.dense.DenseExecutor`) feed it inline, call for
+call, from their event loops; without a timeline each recording site
+costs one ``None`` check.  It keeps per-step counters, fault marks,
+spans, and one ``(t, pos, col, row)`` record per pebble completion in
+call order.  The records give the wavefront
+(:meth:`MetricsTimeline.row_completion_times`, bursty under OVERLAP),
+per-position utilisation and an ASCII space-time diagram.
 
 The recorded series reconcile exactly with the run's final
 :class:`~repro.netsim.stats.SimStats`:
@@ -29,6 +28,8 @@ link until its arrival step.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.netsim.stats import latencies_from_completions, percentile
 from repro.telemetry.spans import SpanLog
@@ -51,6 +52,7 @@ class MetricsTimeline:
         "lost",
         "cancelled",
         "step_done",
+        "records",
         "faults",
         "spans",
         "positions",
@@ -70,6 +72,8 @@ class MetricsTimeline:
         #: guest row -> host step its last pebble completed (the raced
         #: per-step latency source; see :meth:`step_latencies`)
         self.step_done: dict[int, int] = {}
+        #: one ``(t, pos, col, row)`` per :meth:`pebble` call, in call order
+        self.records: list[tuple[int, int, int, int]] = []
         self.faults: list[tuple[int, str, str]] = []
         self.spans = SpanLog()
         self.positions: set[int] = set()
@@ -84,6 +88,7 @@ class MetricsTimeline:
         recomputation — the paper's redundancy) accumulate in the
         ``redundant`` series.
         """
+        self.records.append((t, pos, col, row))
         d = self.pebbles
         d[t] = d.get(t, 0) + 1
         key = (col, row)
@@ -214,6 +219,94 @@ class MetricsTimeline:
         for t in range(1, len(out)):
             busy = peb.get(t, 0)
             out[t] = procs - busy if busy < procs else 0
+        return out
+
+    # -- pebble-record analyses ----------------------------------------
+    @property
+    def makespan(self) -> int:
+        """Latest pebble completion step (0 before any pebble)."""
+        return max(self.pebbles, default=0)
+
+    def row_completion_times(self) -> dict[int, int]:
+        """Guest row -> step by which *every column* of the row had been
+        computed at least once (the wavefront).  :attr:`step_done` is
+        instead when the row's last replica finished."""
+        earliest: dict[tuple[int, int], int] = {}
+        for t, _p, col, row in self.records:
+            if t < earliest.get((col, row), t + 1):
+                earliest[(col, row)] = t
+        out: dict[int, int] = {}
+        for (_col, row), t in earliest.items():
+            if t > out.get(row, -1):
+                out[row] = t
+        return out
+
+    def per_row_slowdown(self) -> list[tuple[int, int]]:
+        """(row, host steps since the previous row's wavefront) — the
+        realised per-row slowdown profile, bursty under OVERLAP."""
+        out, prev = [], 0
+        for row, t in sorted(self.row_completion_times().items()):
+            out.append((row, t - prev))
+            prev = t
+        return out
+
+    def utilization(self, positions: list[int] | None = None) -> dict[int, float]:
+        """Busy fraction per position (pebbles computed / makespan)."""
+        span = max(1, self.makespan)
+        counts = Counter(p for _t, p, _c, _r in self.records)
+        if positions is None:
+            positions = sorted(counts)
+        return {p: counts[p] / span for p in positions}
+
+    def spacetime_ascii(
+        self, n_positions: int, width: int = 64, height: int = 16
+    ) -> str:
+        """ASCII space-time diagram of the pebble records.
+
+        x-axis: host positions (bucketed to ``width``); y-axis: time
+        (bucketed to ``height``, earliest at the top); glyph: activity
+        density (`` .:-=+*#%@`` from idle to saturated).
+        """
+        if not self.records:
+            return "(empty trace)"
+        span = self.makespan + 1
+        width = min(width, n_positions)
+        height = min(height, span)
+        grid = [[0] * width for _ in range(height)]
+        for t, p, _c, _r in self.records:
+            grid[min(height - 1, t * height // span)][
+                min(width - 1, p * width // n_positions)
+            ] += 1
+        peak = max(max(row) for row in grid) or 1
+        glyphs = " .:-=+*#%@"
+        top = len(glyphs) - 1
+        return "\n".join(
+            f"t={y * span // height:>6} |"
+            + "".join(glyphs[min(top, cell * top // peak)] for cell in row)
+            + "|"
+            for y, row in enumerate(grid)
+        )
+
+    def run_summary(self) -> dict:
+        """Headline numbers of the pebble records and fault marks.
+
+        ``mean_utilization`` is over the makespan (compare
+        :meth:`summary`, which is over :attr:`horizon`).
+        """
+        util = self.utilization()
+        out = {
+            "pebbles": len(self.records),
+            "makespan": self.makespan,
+            "positions_active": len(util),
+            "mean_utilization": (
+                round(sum(util.values()) / len(util), 4) if util else 0.0
+            ),
+            "rows_completed": len(self.row_completion_times()),
+        }
+        if self.faults:
+            kinds = Counter(kind for _t, kind, _d in self.faults)
+            out["fault_marks"] = len(self.faults)
+            out["fault_kinds"] = dict(sorted(kinds.items()))
         return out
 
     # -- totals / reconciliation ----------------------------------------
@@ -370,8 +463,8 @@ class MetricsTimeline:
     def snapshot(self) -> dict:
         """Lossless mid-run snapshot (JSON-safe, unlike :meth:`as_dict`).
 
-        Captures raw internal state — sparse counter dicts, the
-        redundancy dedup set, open spans — so that
+        Captures raw internal state — sparse counter dicts, pebble
+        records, the redundancy dedup set, open spans — so that
         :meth:`load_snapshot` followed by feeding the remaining suffix
         of a run reproduces the uninterrupted timeline exactly.  Used
         by the executor checkpoints (:mod:`repro.core.checkpoint`).
@@ -381,6 +474,7 @@ class MetricsTimeline:
                 name: sorted(getattr(self, name).items())
                 for name in self._COUNTERS
             },
+            "records": [list(r) for r in self.records],
             "faults": [list(f) for f in self.faults],
             "positions": sorted(self.positions),
             "seen": sorted(map(list, self._seen)),
@@ -394,6 +488,7 @@ class MetricsTimeline:
             d = getattr(self, name)
             d.clear()
             d.update((int(t), v) for t, v in snap["counters"].get(name, []))
+        self.records = [tuple(r) for r in snap.get("records", [])]
         self.faults = [tuple(f) for f in snap.get("faults", [])]
         self.positions = set(snap.get("positions", []))
         self._seen = set(map(tuple, snap.get("seen", [])))

@@ -210,6 +210,23 @@ def test_faulted_restore_every_checkpoint_bit_identical(case):
         assert _tl_dict(tl2) == _tl_dict(tl), f"telemetry diverges from t={ck.time}"
 
 
+@pytest.mark.parametrize(
+    "kind, case",
+    [("dense", c) for c in DENSE_RESTORE_CASES]
+    + [("faulted", c) for c in FAULTED_RESTORE_CASES],
+)
+def test_restore_every_checkpoint_keeps_pebble_records(kind, case):
+    run = (DENSE_RESTORE_CASES if kind == "dense" else FAULTED_RESTORE_CASES)[case]
+    tl = MetricsTimeline()
+    base = run(telemetry=tl)
+    assert tl.records and base.checkpoints
+    for ck in base.checkpoints:
+        tl2 = MetricsTimeline()
+        run(telemetry=tl2, resume_from=_roundtrip(ck))
+        assert tl2.records == tl.records, f"records diverge from t={ck.time}"
+        assert tl2.faults == tl.faults, f"fault marks diverge from t={ck.time}"
+
+
 def test_resumed_run_recaptures_usable_suffix_checkpoints():
     """A resumed run re-captures checkpoints past the restore point
     (so a delta hit can serve *further* deltas), and those recaptures

@@ -455,15 +455,13 @@ def test_resolve_engine_auto_prefers_dense():
 
 def test_resolve_engine_fallback_triggers():
     # Since the segmented tier, faults/policy/forced_dead no longer
-    # force greedy — only tracing, multicast and tie_seed remain.
-    assert resolve_engine("auto", trace=object()) == "greedy"
+    # force greedy, and a timeline is fed by both tiers — only
+    # multicast and tie_seed remain.
     assert resolve_engine("auto", multicast=True) == "greedy"
     assert resolve_engine("auto", tie_seed=7) == "greedy"
 
 
 def test_resolve_engine_dense_refuses_greedy_features():
-    with pytest.raises(ValueError, match="tracing"):
-        resolve_engine("dense", trace=object())
     with pytest.raises(ValueError, match="multicast"):
         resolve_engine("dense", multicast=True)
     with pytest.raises(ValueError, match="scheduling jitter"):

@@ -80,13 +80,13 @@ class TestDegenerate:
         assert res.stats.makespan == 18
 
     def test_trace_and_multicast_compose(self):
-        from repro.netsim.trace import Trace
+        from repro.telemetry import MetricsTimeline
 
         host = HostArray.uniform(5, 2)
         asg = Assignment([(1, 5), None, (6, 10), None, (6, 10)], 10)
-        trace = Trace()
+        trace = MetricsTimeline()
         res = GreedyExecutor(
-            host, asg, CounterProgram(), 4, trace=trace, multicast=True
+            host, asg, CounterProgram(), 4, telemetry=trace, multicast=True
         ).run()
         assert len(trace.records) == res.stats.pebbles
 

@@ -16,7 +16,7 @@ from repro.netsim.faults import (
     RecoveryPolicy,
 )
 from repro.netsim.stats import SimStats
-from repro.netsim.trace import Trace
+from repro.telemetry import MetricsTimeline
 
 
 # -- events and plans -----------------------------------------------------
@@ -196,12 +196,12 @@ def test_recovery_policy_validation_and_timeout():
 # -- determinism ----------------------------------------------------------
 
 
-def _run_with_plan(plan, trace=None):
+def _run_with_plan(plan, telemetry=None):
     host = HostArray.uniform(32)
     killing = kill_and_label(host)
     assignment = assign_databases(killing, min_copies=2)
     ex = GreedyExecutor(
-        host, assignment, CounterProgram(), 6, faults=plan, trace=trace
+        host, assignment, CounterProgram(), 6, faults=plan, telemetry=telemetry
     )
     return ex.run()
 
@@ -210,11 +210,11 @@ def test_identical_plan_gives_byte_identical_runs():
     plan = FaultPlan.random(
         32, seed=11, horizon=40, node_crash_rate=0.1, drop_rate=0.1
     )
-    t1, t2 = Trace(), Trace()
+    t1, t2 = MetricsTimeline(), MetricsTimeline()
     r1 = _run_with_plan(plan, t1)
     r2 = _run_with_plan(plan, t2)
     assert t1.records == t2.records
-    assert t1.fault_marks == t2.fault_marks
+    assert t1.faults == t2.faults
     assert r1.value_digests == r2.value_digests
     assert r1.stats.as_dict() == r2.stats.as_dict()
     assert {k: (d.version, d.digest) for k, d in r1.replicas.items()} == {
@@ -227,13 +227,13 @@ def test_empty_plan_bit_identical_to_fault_free():
     killing = kill_and_label(host)
     assignment = assign_databases(killing, min_copies=2)
     prog = CounterProgram()
-    t_plain, t_empty = Trace(), Trace()
-    plain = GreedyExecutor(host, assignment, prog, 6, trace=t_plain).run()
+    t_plain, t_empty = MetricsTimeline(), MetricsTimeline()
+    plain = GreedyExecutor(host, assignment, prog, 6, telemetry=t_plain).run()
     empty = GreedyExecutor(
-        host, assignment, prog, 6, trace=t_empty, faults=FaultPlan.empty()
+        host, assignment, prog, 6, telemetry=t_empty, faults=FaultPlan.empty()
     ).run()
     assert t_plain.records == t_empty.records
-    assert t_empty.fault_marks == []
+    assert t_empty.faults == []
     assert plain.stats.makespan == empty.stats.makespan
     assert plain.stats.as_dict() == empty.stats.as_dict()
     assert plain.value_digests == empty.value_digests
@@ -256,12 +256,12 @@ def test_stats_fault_counters_merge_and_dict():
 
 
 def test_trace_fault_marks_summary():
-    t = Trace()
-    t.record(1, 0, 1, 1)
-    assert "fault_marks" not in t.summary()
-    t.record_fault(3, "crash", "node 2")
-    t.record_fault(5, "recovery", "epoch 1")
-    t.record_fault(9, "retry", "7 col 3 from 9")
-    s = t.summary()
+    t = MetricsTimeline()
+    t.pebble(1, 0, 1, 1)
+    assert "fault_marks" not in t.run_summary()
+    t.fault(3, "crash", "node 2")
+    t.fault(5, "recovery", "epoch 1")
+    t.fault(9, "retry", "7 col 3 from 9")
+    s = t.run_summary()
     assert s["fault_marks"] == 3
     assert s["fault_kinds"] == {"crash": 1, "recovery": 1, "retry": 1}

@@ -25,7 +25,6 @@ from repro.machine.guest import GuestArray
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram
 from repro.netsim.faults import FaultPlan
-from repro.netsim.trace import Trace
 from repro.telemetry import MetricsTimeline
 
 GOLDEN_HOST = [1, 5, 2, 9, 1, 3, 7, 2, 4, 6, 1, 8, 3, 2, 5]
@@ -128,7 +127,7 @@ def _front(telemetry, **kwargs):
 GREEDY_CASES = {
     "multicast": lambda tl: _direct(tl, multicast=True),
     "tie_seed": lambda tl: _direct(tl, tie_seed=7),
-    "trace": lambda tl: _direct(tl, trace=Trace()),
+    "trace": lambda tl: _direct(tl),
     "racing": lambda tl: _front(tl, policy="racing"),
     "racing_jitter": lambda tl: _front(
         tl, policy="racing", faults=_jitter_plan(len(GREEDY_HOST) + 1)
@@ -227,7 +226,7 @@ TRACE_CLI_CASES = {
 
 
 @pytest.mark.parametrize(
-    "engine", [None, "greedy"], ids=lambda e: e or "default"
+    "engine", [None, "greedy", "auto", "dense"], ids=lambda e: e or "default"
 )
 @pytest.mark.parametrize("name", sorted(TRACE_CLI_CASES))
 def test_trace_cli_output_pinned(name, engine, tmp_path, capsys):

@@ -13,7 +13,7 @@ from repro.core.baselines import simulate_single_copy
 from repro.core.composed import simulate_composed_on_graph
 from repro.core.ring import simulate_ring
 from repro.machine.programs import get_program, list_programs
-from repro.netsim.trace import Trace
+from repro.telemetry import MetricsTimeline
 from repro.topology.delays import bimodal_delays, pareto_delays, scale_to_average
 from repro.topology.embedding import embed_linear_array
 from repro.topology.generators import (
@@ -55,8 +55,8 @@ class TestFullPipelines:
 
         killing = kill_and_label(host)
         asg = assign_databases(killing, block=2)
-        trace = Trace()
-        res = GreedyExecutor(host, asg, CounterProgram(), 8, trace=trace).run()
+        trace = MetricsTimeline()
+        res = GreedyExecutor(host, asg, CounterProgram(), 8, telemetry=trace).run()
         assert len(trace.records) == res.stats.pebbles
         assert trace.makespan == res.stats.makespan
 

@@ -15,7 +15,7 @@ from repro.core.overlap import simulate_overlap
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram
 from repro.netsim.faults import FaultPlan, RecoveryPolicy
-from repro.netsim.trace import Trace
+from repro.telemetry import MetricsTimeline
 
 HOST_N = 48
 STEPS = 8
@@ -142,16 +142,16 @@ def test_restart_penalty_is_charged():
 
 def test_trace_marks_crash_and_recovery():
     host = _host()
-    trace = Trace()
+    trace = MetricsTimeline()
     killing = kill_and_label(host)
     assignment = assign_databases(killing, min_copies=2)
     GreedyExecutor(
         host, assignment, CounterProgram(), STEPS,
-        faults=FaultPlan().crash(10, 5), trace=trace,
+        faults=FaultPlan().crash(10, 5), telemetry=trace,
     ).run()
-    kinds = {kind for _t, kind, _d in trace.fault_marks}
+    kinds = {kind for _t, kind, _d in trace.faults}
     assert "crash" in kinds and "recovery" in kinds
-    assert trace.summary()["fault_kinds"]["crash"] == 1
+    assert trace.run_summary()["fault_kinds"]["crash"] == 1
 
 
 def test_executor_default_reassign_used_without_overlap_frontend():

@@ -150,12 +150,12 @@ class TestRowDeadlines:
         from repro.core.executor import GreedyExecutor
         from repro.core.killing import kill_and_label
         from repro.machine.programs import CounterProgram
-        from repro.netsim.trace import Trace
+        from repro.telemetry import MetricsTimeline
 
         killing = kill_and_label(host)
         asg = assign_databases(killing, block=block)
-        trace = Trace()
-        GreedyExecutor(host, asg, CounterProgram(), steps, trace=trace).run()
+        trace = MetricsTimeline()
+        GreedyExecutor(host, asg, CounterProgram(), steps, telemetry=trace).run()
         from repro.core.schedule import build_schedule
 
         table = build_schedule(killing.params, base_work=float(asg.load()))

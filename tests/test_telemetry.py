@@ -255,39 +255,37 @@ class TestNonPerturbation:
 
 
 class TestChromeExport:
-    def _timeline_and_trace(self):
+    def _timeline(self):
         from repro.core.assignment import assign_databases
         from repro.core.executor import GreedyExecutor
         from repro.core.killing import kill_and_label
         from repro.machine.programs import get_program
-        from repro.netsim.trace import Trace
 
         host = _random_host(32, 3.0, seed=4)
         killing = kill_and_label(host)
         assignment = assign_databases(killing, block=2)
-        trace, tl = Trace(), MetricsTimeline()
+        tl = MetricsTimeline()
         result = GreedyExecutor(
             host,
             assignment,
             get_program("counter"),
             steps=8,
-            trace=trace,
             telemetry=tl,
         ).run()
-        return tl, trace, result
+        return tl, result
 
     def test_document_round_trips_as_json(self, tmp_path):
-        tl, trace, _res = self._timeline_and_trace()
+        tl, _res = self._timeline()
         path = tmp_path / "run.json"
-        doc = write_chrome_trace(path, timeline=tl, trace=trace, label="test")
+        doc = write_chrome_trace(path, timeline=tl, label="test")
         loaded = json.loads(path.read_text())
         assert loaded == json.loads(json.dumps(doc))
         assert loaded["displayTimeUnit"] == "ms"
         assert loaded["traceEvents"]
 
     def test_timestamps_monotone_after_metadata(self):
-        tl, trace, _res = self._timeline_and_trace()
-        events = chrome_events(timeline=tl, trace=trace)
+        tl, _res = self._timeline()
+        events = chrome_events(timeline=tl)
         body = [e for e in events if e["ph"] != "M"]
         assert body, "export produced no body events"
         assert all(
@@ -299,8 +297,8 @@ class TestChromeExport:
             assert {"ph", "name", "pid", "tid", "ts"} <= set(e)
 
     def test_counters_sum_to_stats(self):
-        tl, trace, res = self._timeline_and_trace()
-        events = chrome_events(timeline=tl, trace=trace)
+        tl, res = self._timeline()
+        events = chrome_events(timeline=tl)
         stats = res.stats
 
         def counter_sum(track, key):
@@ -330,8 +328,10 @@ class TestChromeExport:
         assert {e["name"] for e in spans} >= {"epoch", "recovery"}
 
     def test_trace_to_chrome_events_delegates(self):
-        _tl, trace, res = self._timeline_and_trace()
-        events = trace.to_chrome_events(label="t")
+        # The pebble rows come from the timeline's own records; an empty
+        # span log leaves them the only "X" events.
+        tl, res = self._timeline()
+        events = chrome_events(timeline=tl, spans=SpanLog(), label="t")
         assert sum(1 for e in events if e["ph"] == "X") == res.stats.pebbles
 
     def test_timeline_only_document(self):

@@ -1,18 +1,26 @@
-"""Execution tracing."""
+"""Execution tracing: the pebble records of a run's timeline."""
+
+import numpy as np
+import pytest
 
 from repro.core.assignment import Assignment
 from repro.core.executor import GreedyExecutor
+from repro.core.overlap import simulate_overlap, simulate_overlap_on_graph
+from repro.core.ring import simulate_ring
 from repro.machine.host import HostArray
-from repro.machine.programs import CounterProgram
-from repro.netsim.trace import Trace
+from repro.machine.programs import CounterProgram, get_program, list_programs
+from repro.netsim.faults import FaultPlan
+from repro.telemetry import MetricsTimeline
+from repro.topology.delays import scale_to_average, uniform_delays
+from repro.topology.generators import mesh_host
 
 
 def traced_run(delays=(4, 4, 4), steps=6):
     host = HostArray(list(delays))
     n = host.n
     asg = Assignment([(i + 1, i + 1) for i in range(n)], n)
-    trace = Trace()
-    GreedyExecutor(host, asg, CounterProgram(), steps, trace=trace).run()
+    trace = MetricsTimeline()
+    GreedyExecutor(host, asg, CounterProgram(), steps, telemetry=trace).run()
     return trace, n, steps
 
 
@@ -59,15 +67,15 @@ def test_spacetime_ascii_shape():
 
 
 def test_empty_trace():
-    t = Trace()
+    t = MetricsTimeline()
     assert t.makespan == 0
     assert t.spacetime_ascii(4) == "(empty trace)"
-    assert t.summary()["pebbles"] == 0
+    assert t.run_summary()["pebbles"] == 0
 
 
 def test_summary_keys():
     trace, _, steps = traced_run()
-    s = trace.summary()
+    s = trace.run_summary()
     assert s["rows_completed"] == steps
     assert s["pebbles"] == len(trace.records)
     assert 0 < s["mean_utilization"] <= 1
@@ -81,3 +89,62 @@ def test_wavefront_shows_latency_pauses():
     # After row 1 (free, from row 0), each row waits on the long link.
     late_rows = [inc for row, inc in per_row if row >= 2]
     assert all(inc >= 64 for inc in late_rows)
+
+
+# -- the dense tier records what the greedy tier records ----------------
+
+
+def _line_host(n=40, seed=1):
+    rng = np.random.default_rng(seed)
+    return HostArray(scale_to_average(uniform_delays(n - 1, rng, 1, 8), 3.0))
+
+
+_PLANS = {
+    "crash": lambda: FaultPlan().crash(13, 12),
+    "outage": lambda: FaultPlan.random(40, seed=5, horizon=60, link_outage_rate=0.2),
+    "jitter": lambda: FaultPlan.random(40, seed=6, horizon=60, jitter_rate=0.3),
+    "drop": lambda: FaultPlan.random(40, seed=7, horizon=60, drop_rate=0.2),
+    "mixed": lambda: FaultPlan.random(
+        40, seed=8, horizon=60, node_crash_rate=0.05, link_outage_rate=0.1,
+        jitter_rate=0.1, drop_rate=0.1,
+    ),
+}
+
+# name -> run(engine, timeline)
+CROSS_TIER_RUNS = {
+    **{
+        f"line_{prog}": lambda engine, tl, prog=prog: simulate_overlap(
+            _line_host(), get_program(prog), steps=6, block=2,
+            engine=engine, telemetry=tl,
+        )
+        for prog in list_programs()
+    },
+    **{
+        f"ring_{copies}_copies": lambda engine, tl, copies=copies: simulate_ring(
+            HostArray([2, 1, 3, 1, 4, 2, 1, 3, 2, 1, 2, 3, 1, 2, 1]), m=16,
+            steps=6, copies=copies, engine=engine, telemetry=tl,
+        )
+        for copies in (1, 2)
+    },
+    "mesh_fact3": lambda engine, tl: simulate_overlap_on_graph(
+        mesh_host(4, 4, uniform_delays(24, np.random.default_rng(5), 1, 6)),
+        steps=6, engine=engine, telemetry=tl,
+    ),
+    **{
+        f"faulted_line_{kind}": lambda engine, tl, plan=plan: simulate_overlap(
+            _line_host(), steps=8, block=2, min_copies=2, faults=plan(),
+            engine=engine, telemetry=tl,
+        )
+        for kind, plan in _PLANS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_TIER_RUNS))
+def test_dense_records_equal_greedy(name):
+    greedy, dense = MetricsTimeline(), MetricsTimeline()
+    CROSS_TIER_RUNS[name]("greedy", greedy)
+    CROSS_TIER_RUNS[name]("dense", dense)
+    assert greedy.records
+    assert dense.records == greedy.records
+    assert dense.faults == greedy.faults
