@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.core.baselines import spread_assignment
 from repro.core.executor import ExecResult
 from repro.core.pipeline import run_pipeline
+from repro.core.verify import VerificationError
 from repro.lower_bounds.audit import windowed_assignment
 from repro.machine.guest import GuestRing, RingReferenceRun
 from repro.machine.host import HostArray
@@ -154,25 +155,28 @@ def verify_ring_execution(
     node_of_col: list[int],
 ) -> int:
     """Check every replica of every folded column against the ring
-    reference (value folds, update digests, final states)."""
-    checked = 0
+    reference (value folds, update digests, final states) and that
+    every ring node has a replica; returns the replicas checked.
+
+    Raises :class:`~repro.core.verify.VerificationError` on the first
+    mismatch, or naming the ring nodes no replica covers."""
     ref_folds: dict[int, int] = {}
     for (p, col), digest in result.value_digests.items():
         k = node_of_col[col]
         if k not in ref_folds:
             ref_folds[k] = fold_s(int(v) for v in reference.values[1:, k])
         if digest != ref_folds[k]:
-            raise AssertionError(
+            raise VerificationError(
                 f"ring node {k}: pebble values diverge at position {p}"
             )
         replica = result.replicas[(p, col)]
         if replica.version != reference.steps:
-            raise AssertionError(f"ring node {k}: wrong update count")
+            raise VerificationError(f"ring node {k}: wrong update count")
         if replica.digest != int(reference.update_digests[k]):
-            raise AssertionError(f"ring node {k}: update digest diverges")
+            raise VerificationError(f"ring node {k}: update digest diverges")
         if program.state_digest(replica.state) != int(reference.state_digests[k]):
-            raise AssertionError(f"ring node {k}: final state diverges")
-        checked += 1
-    if checked < result.assignment.m:
-        raise AssertionError("some ring nodes were never verified")
-    return checked
+            raise VerificationError(f"ring node {k}: final state diverges")
+    missing = [k for k in range(result.assignment.m) if k not in ref_folds]
+    if missing:
+        raise VerificationError(f"ring nodes never verified: {missing[:10]}")
+    return len(result.value_digests)

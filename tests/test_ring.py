@@ -8,9 +8,12 @@ from repro.core.ring import (
     ring_dep_map,
     ring_layout,
     simulate_ring,
+    verify_ring_execution,
 )
+from repro.core.verify import VerificationError
+from repro.machine.guest import GuestRing
 from repro.machine.host import HostArray
-from repro.machine.programs import DataflowProgram, TokenProgram
+from repro.machine.programs import CounterProgram, DataflowProgram, TokenProgram
 
 
 def test_layout_is_bijective():
@@ -87,3 +90,19 @@ def test_token_circulates_around_the_ring():
 
     ref_arr = GuestArray(m, TokenProgram()).run_reference(m)
     assert int(ref_ring[m, 0]) != int(ref_arr.values[m, 1])
+
+
+def test_verifier_names_a_ring_node_with_no_replica():
+    res = simulate_ring(HostArray.uniform(16, delay=2), m=16, steps=6, copies=2)
+    result = res.exec_result
+    dropped = [key for key in result.value_digests if key[1] == 4]
+    assert len(dropped) == 2  # both replicas of column 4
+    for key in dropped:
+        del result.value_digests[key]
+        del result.replicas[key]
+    _, node_of_col = ring_dep_map(16)
+    reference = GuestRing(16, CounterProgram()).run_reference_full(6)
+    with pytest.raises(
+        VerificationError, match=rf"ring nodes never verified: \[{node_of_col[4]}\]"
+    ):
+        verify_ring_execution(result, reference, CounterProgram(), node_of_col)
