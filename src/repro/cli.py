@@ -9,6 +9,9 @@ Subcommands
 ``all [--full] [--out DIR]``
     Run every experiment, print the tables, and write one text file per
     experiment (the inputs to EXPERIMENTS.md).
+``trace [--preset NAME] [--engine TIER]``
+    Run OVERLAP on a preset host with a timeline attached and print its
+    summary and space-time diagram (``--trace-out`` writes a Chrome trace).
 ``serve [--port P | --demo]``
     Run the simulation service (asyncio front-end over the sweep
     engine): JSON-lines TCP server, or an in-process demo workload that
@@ -27,7 +30,9 @@ import sys
 
 from repro import __version__
 from repro.experiments import get_experiment, list_experiments, run_experiment
+from repro.machine.programs import list_programs
 from repro.runner import default_cache_dir
+from repro.topology.presets import PRESETS
 
 _TITLES = {
     "e1": "Theorem 2  - OVERLAP slowdown O(d_ave log^3 n)",
@@ -57,6 +62,14 @@ _TITLES = {
     "x3": "Calibration - measured constants of the bounds",
     "x4": "Planner    - block-factor recommendation vs measured",
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cache-limit",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="N",
             help="bound the sweep cache to N entries (oldest evicted "
@@ -413,11 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--preset",
         default="dialup-outlier",
+        choices=sorted(PRESETS),
         help="host preset (campus, wan, dialup-outlier, mixed-now)",
     )
-    p_trace.add_argument("--block", type=int, default=8, help="block factor beta")
-    p_trace.add_argument("--steps", type=int, default=24, help="guest steps")
-    p_trace.add_argument("--program", default="counter", help="guest program")
+    p_trace.add_argument(
+        "--block", type=_positive_int, default=8, help="block factor beta"
+    )
+    p_trace.add_argument(
+        "--steps", type=_positive_int, default=24, help="guest steps"
+    )
+    p_trace.add_argument(
+        "--program", default="counter", choices=list_programs(),
+        help="guest program",
+    )
     p_trace.add_argument(
         "--faults",
         type=int,
@@ -435,18 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("auto", "dense", "greedy"),
         default="auto",
-        help="execution tier; trace always resolves to greedy because the "
-        "space-time diagram and --trace-out rely on per-event trace hooks "
-        "(greedy-only).  --telemetry works on both tiers in general, but "
-        "under `repro trace` it rides the greedy run; use "
-        "`repro run --engine dense --telemetry` for dense-tier telemetry",
+        help="execution tier: auto picks the dense fast path (default), "
+        "dense forces it, greedy forces the event-driven engine; the "
+        "output is identical on every tier",
     )
     p_trace.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect a per-step MetricsTimeline and print its summary "
-        "plus an ASCII activity timeline (works on both engine tiers; "
-        "here it attaches to the greedy trace run)",
+        help="also print the run's per-step counter summary and an ASCII "
+        "activity timeline",
     )
     p_trace.add_argument(
         "--trace-out",
@@ -494,35 +512,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-limit",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="bound the disk cache to N entries",
     )
     p_serve.add_argument(
         "--lru",
-        type=int,
+        type=_positive_int,
         default=512,
         metavar="N",
         help="in-memory LRU capacity (serialised results)",
     )
     p_serve.add_argument(
         "--max-queue",
-        type=int,
+        type=_positive_int,
         default=32,
         metavar="N",
         help="admission bound: requests admitted at once before shedding",
     )
     p_serve.add_argument(
         "--concurrency",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="admitted requests executing simultaneously",
     )
     p_serve.add_argument(
         "--per-client",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="admitted requests one client name may hold",

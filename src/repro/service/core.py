@@ -107,6 +107,10 @@ class SimulationService:
     metrics:
         A :class:`~repro.telemetry.service.ServiceMetrics` to record
         into (default: a fresh one on :attr:`metrics`).
+
+    ``lru_entries``, ``max_queue``, ``max_concurrency`` and
+    ``per_client`` must be at least 1 (``ValueError`` otherwise): at 0
+    the service would shed or stall every request.
     """
 
     def __init__(
@@ -120,6 +124,13 @@ class SimulationService:
         version: str = "1",
         metrics: ServiceMetrics | None = None,
     ) -> None:
+        for name, value in (
+            ("max_queue", max_queue),
+            ("max_concurrency", max_concurrency),
+            ("per_client", per_client),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.runner = runner if runner is not None else SweepRunner()
         self.memory = LRUCache(lru_entries)
         self.max_queue = max_queue

@@ -56,6 +56,26 @@ def test_trace_rejects_graph_preset(capsys):
     assert "graph host" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "--steps", "0"], "--steps"),
+        (["trace", "--steps", "-3"], "--steps"),
+        (["trace", "--block", "0"], "--block"),
+        (["trace", "--program", "nope"], "--program"),
+        (["trace", "--preset", "nope"], "--preset"),
+        (["run", "e1", "--cache-limit", "0"], "--cache-limit"),
+        (["serve", "--demo", "--lru", "0"], "--lru"),
+        (["serve", "--demo", "--concurrency", "0"], "--concurrency"),
+    ],
+)
+def test_malformed_input_exits_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

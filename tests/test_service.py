@@ -101,6 +101,16 @@ def test_lru_rejects_zero_capacity():
         LRUCache(0)
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [("max_concurrency", 0), ("max_concurrency", -1), ("max_queue", 0),
+     ("per_client", 0)],
+)
+def test_service_rejects_limits_below_one(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+        SimulationService(**{knob: value})
+
+
 def test_lru_put_refresh_does_not_grow():
     lru = LRUCache(2)
     lru.put("a", 1)
@@ -321,11 +331,15 @@ def test_stream_event_order_compute_and_memory(tmp_path):
 
 def test_stream_terminal_shed_event(tmp_path):
     async def main():
-        svc = _service(tmp_path, cache=False, max_queue=0)
+        # A one-slot queue held by a slow leader sheds the next request.
+        svc = _service(tmp_path, cache=False, max_queue=1)
+        leader = asyncio.ensure_future(svc.submit(_slow_task, {"x": 0}))
+        await asyncio.sleep(0)
         events = [e async for e in svc.stream(_quick_task, {"x": 1})]
         assert events[-1]["event"] == "shed"
         assert events[-1]["reason"] == "queue_full"
         assert svc.metrics.shed["queue_full"] == 1
+        await leader
 
     asyncio.run(main())
 
