@@ -231,23 +231,27 @@ class MetricsTimeline:
         """Guest row -> step by which *every column* of the row had been
         computed at least once (the wavefront).  :attr:`step_done` is
         instead when the row's last replica finished."""
+        # earliest completion per (col, row), then max over cols per row
         earliest: dict[tuple[int, int], int] = {}
-        for t, _p, col, row in self.records:
-            if t < earliest.get((col, row), t + 1):
-                earliest[(col, row)] = t
+        for time, _p, col, row in self.records:
+            key = (col, row)
+            if key not in earliest or time < earliest[key]:
+                earliest[key] = time
         out: dict[int, int] = {}
-        for (_col, row), t in earliest.items():
-            if t > out.get(row, -1):
-                out[row] = t
+        for (col, row), time in earliest.items():
+            if row not in out or time > out[row]:
+                out[row] = time
         return out
 
     def per_row_slowdown(self) -> list[tuple[int, int]]:
-        """(row, host steps since the previous row's wavefront) — the
-        realised per-row slowdown profile, bursty under OVERLAP."""
-        out, prev = [], 0
-        for row, t in sorted(self.row_completion_times().items()):
-            out.append((row, t - prev))
-            prev = t
+        """(row, incremental host steps to finish it) — the realised
+        per-row slowdown profile, bursty under OVERLAP."""
+        times = self.row_completion_times()
+        out = []
+        prev = 0
+        for row in sorted(times):
+            out.append((row, times[row] - prev))
+            prev = times[row]
         return out
 
     def utilization(self, positions: list[int] | None = None) -> dict[int, float]:
@@ -273,26 +277,25 @@ class MetricsTimeline:
         width = min(width, n_positions)
         height = min(height, span)
         grid = [[0] * width for _ in range(height)]
-        for t, p, _c, _r in self.records:
-            grid[min(height - 1, t * height // span)][
-                min(width - 1, p * width // n_positions)
-            ] += 1
+        for time, p, _c, _r in self.records:
+            x = min(width - 1, p * width // n_positions)
+            y = min(height - 1, time * height // span)
+            grid[y][x] += 1
         peak = max(max(row) for row in grid) or 1
         glyphs = " .:-=+*#%@"
-        top = len(glyphs) - 1
-        return "\n".join(
-            f"t={y * span // height:>6} |"
-            + "".join(glyphs[min(top, cell * top // peak)] for cell in row)
-            + "|"
-            for y, row in enumerate(grid)
-        )
+        lines = []
+        for y, row in enumerate(grid):
+            t_lo = y * span // height
+            cells = "".join(
+                glyphs[min(len(glyphs) - 1, cell * (len(glyphs) - 1) // peak)]
+                for cell in row
+            )
+            lines.append(f"t={t_lo:>6} |{cells}|")
+        return "\n".join(lines)
 
     def run_summary(self) -> dict:
-        """Headline numbers of the pebble records and fault marks.
-
-        ``mean_utilization`` is over the makespan (compare
-        :meth:`summary`, which is over :attr:`horizon`).
-        """
+        """Headline numbers of the pebble records and fault marks
+        (``mean_utilization`` over the makespan, not :attr:`horizon`)."""
         util = self.utilization()
         out = {
             "pebbles": len(self.records),
