@@ -20,7 +20,9 @@ from typing import Sequence
 import networkx as nx
 
 from repro.netsim.fabric import LineFabric
-from repro.netsim.routing import DELAY_ATTR
+
+# Edge attribute holding a host-graph link's delay (an integer >= 1).
+DELAY_ATTR = "delay"
 
 
 @dataclass
@@ -94,14 +96,6 @@ class HostArray:
         if n < 1:
             raise ValueError("need at least one processor")
         return cls([delay] * (n - 1), name or f"uniform(n={n},d={delay})")
-
-    def as_graph(self) -> nx.Graph:
-        """The array as a ``networkx`` path graph with delay attrs."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        for j, d in enumerate(self.link_delays):
-            g.add_edge(j, j + 1, **{DELAY_ATTR: d})
-        return g
 
 
 @dataclass

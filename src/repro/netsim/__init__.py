@@ -15,11 +15,11 @@ i.e. links are perfect pipelines with slotted injection.
 
 Modules
 -------
-events   : deterministic event queue and simulation clock.
+events   : deterministic event queue.
 links    : :class:`LinkPipe`, one direction of a pipelined link.
-routing  : shortest-delay-path routing over ``networkx`` graphs.
-fabric   : :class:`Fabric` (general graphs) and :class:`LineFabric`
-           (fast path specialised to linear-array hosts).
+fabric   : :class:`LineFabric`, the linear-array transport of the
+           greedy tier (graph hosts arrive already embedded into an
+           array by :mod:`repro.topology.embedding`).
 faults   : deterministic fault injection (:class:`FaultPlan`) and the
            executor's :class:`RecoveryPolicy`.
 stats    : run counters (pebbles computed, messages, link busy-steps).
@@ -27,8 +27,7 @@ stats    : run counters (pebbles computed, messages, link busy-steps).
 
 from repro.netsim.events import Event, EventQueue
 from repro.netsim.links import LinkPipe
-from repro.netsim.routing import Router
-from repro.netsim.fabric import Fabric, LineFabric
+from repro.netsim.fabric import LineFabric
 from repro.netsim.faults import (
     LOST,
     FaultEvent,
@@ -42,8 +41,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "LinkPipe",
-    "Router",
-    "Fabric",
     "LineFabric",
     "LOST",
     "FaultEvent",

@@ -11,8 +11,8 @@ produce bit-identical traces.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +43,11 @@ class EventQueue:
     operations O(log n) and the code simple.
     """
 
-    __slots__ = ("_heap", "_seq", "_pushes", "_pops")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Any, Any]] = []
         self._seq = 0
-        self._pushes = 0
-        self._pops = 0
 
     def push(self, time: int, kind: Any, data: Any = None) -> None:
         """Schedule an event at ``time``.
@@ -60,71 +58,14 @@ class EventQueue:
         """
         heapq.heappush(self._heap, (time, self._seq, kind, data))
         self._seq += 1
-        self._pushes += 1
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         time, _seq, kind, data = heapq.heappop(self._heap)
-        self._pops += 1
         return Event(time, kind, data)
-
-    def peek_time(self) -> int | None:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def drain(self) -> Iterator[Event]:
-        """Yield events in order until the queue is empty.
-
-        Events pushed *during* iteration are drained too, so this is the
-        canonical executor main loop.
-        """
-        while self._heap:
-            yield self.pop()
-
-    @property
-    def pushes(self) -> int:
-        """Total events ever pushed (for instrumentation)."""
-        return self._pushes
-
-    @property
-    def pops(self) -> int:
-        """Total events ever popped (for instrumentation)."""
-        return self._pops
-
-
-@dataclass
-class Clock:
-    """Simulation clock; advanced only by the executor main loop.
-
-    Keeping the clock separate from the queue lets executors assert the
-    no-time-travel invariant (``advance_to`` refuses to move backwards)
-    while still allowing many events at the same step.
-    """
-
-    now: int = 0
-    _max_seen: int = field(default=0, repr=False)
-
-    def advance_to(self, t: int) -> None:
-        """Move the clock forward to ``t``.
-
-        Raises
-        ------
-        ValueError
-            If ``t`` is earlier than the current time — an executor bug.
-        """
-        if t < self.now:
-            raise ValueError(f"clock moving backwards: {self.now} -> {t}")
-        self.now = t
-        if t > self._max_seen:
-            self._max_seen = t
-
-    @property
-    def horizon(self) -> int:
-        """Largest time ever reached (== makespan after a run)."""
-        return self._max_seen

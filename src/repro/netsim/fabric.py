@@ -1,227 +1,21 @@
-"""Message fabrics: the glue between links, routing and executors.
+"""The linear-array message fabric.
 
-Two fabrics are provided.
-
-:class:`Fabric`
-    General-graph fabric.  Each undirected edge of a ``networkx`` host
-    graph gets two :class:`~repro.netsim.links.LinkPipe` instances (one
-    per direction).  Executors move a message hop by hop, calling
-    :meth:`Fabric.hop` at each intermediate node; the fabric handles
-    slot allocation and returns the arrival time at the next node.
-
-:class:`LineFabric`
-    Fast path for linear-array hosts — the workhorse of algorithm
-    OVERLAP, which (after the Fact-3 embedding) always runs on an array.
-    Positions are ``0..n-1``; link ``j`` connects positions ``j`` and
-    ``j+1``.  The fabric exposes whole-route sends along the array with
-    per-link pipelining, which is what the executors actually need.
-
-Graph hosts never reach an executor through :class:`Fabric` directly:
-the Fact-3 embedding collapses every per-assignment route into the
-induced array's flat ``link_delays``, so executors (and the dense
-tier, which inlines the LinkPipe slot rule as three flat ints per
-directed link) always see a :class:`LineFabric`-shaped host.
-:class:`Fabric` remains the substrate for netsim-level routing and
-fault-table tests on the original graph.
+:class:`LineFabric` carries every pebble the greedy tier sends, and the
+dense tier inlines its slot rule as three flat ints per directed link.
+Both see only linear arrays: algorithm OVERLAP runs on one, and a graph
+host reaches the executors only through the Fact-3 embedding
+(:mod:`repro.topology.embedding`), which collapses every per-assignment
+route into the induced array's flat ``link_delays``.  Positions are
+``0..n-1``; link ``j`` connects positions ``j`` and ``j+1`` and carries
+one :class:`~repro.netsim.links.LinkPipe` per direction.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
-import networkx as nx
+from typing import Sequence
 
 from repro.netsim.faults import LOST, FaultTables
 from repro.netsim.links import LinkPipe
-from repro.netsim.routing import DELAY_ATTR, Router
-
-
-class Fabric:
-    """Bidirectional pipelined fabric over an arbitrary connected graph."""
-
-    def __init__(
-        self, graph: nx.Graph, bandwidth: int = 1, delay_attr: str = DELAY_ATTR
-    ) -> None:
-        self.router = Router(graph, delay_attr)
-        self.graph = graph
-        self.bandwidth = bandwidth
-        self._delay_attr = delay_attr
-        self._pipes: dict[tuple[Hashable, Hashable], LinkPipe] = {}
-        self._edge_dir: dict[tuple[Hashable, Hashable], tuple[int, int]] = {}
-        self._faults: FaultTables | None = None
-        # Flat per-(src, dst) memos over Router's per-source tables: the
-        # executors ask for the same few routes millions of times, and a
-        # single dict hit beats the router's two-level lookup.
-        self._route_cache: dict[tuple[Hashable, Hashable], list[Hashable]] = {}
-        self._delay_cache: dict[tuple[Hashable, Hashable], int] = {}
-        # Last arrival handed out per directed link (monotone-delivery clamp).
-        self._last_out: dict[tuple[Hashable, Hashable], int] = {}
-        for idx, (u, v, data) in enumerate(graph.edges(data=True)):
-            d = int(data[delay_attr])
-            self._pipes[(u, v)] = LinkPipe(d, bandwidth)
-            self._pipes[(v, u)] = LinkPipe(d, bandwidth)
-            self._edge_dir[(u, v)] = (idx, 1)
-            self._edge_dir[(v, u)] = (idx, -1)
-
-    def pipe(self, u: Hashable, v: Hashable) -> LinkPipe:
-        """The directed pipe from ``u`` to its neighbour ``v``."""
-        try:
-            return self._pipes[(u, v)]
-        except KeyError:
-            if u not in self.graph:
-                hint = f"node {u!r} is not in the host graph"
-            elif v not in self.graph:
-                hint = f"node {v!r} is not in the host graph"
-            else:
-                neighbours = sorted(self.graph.neighbors(u), key=repr)
-                hint = (
-                    f"{u!r} has neighbours {neighbours}; multi-hop sends must "
-                    f"follow Fabric.route({u!r}, {v!r}) edge by edge "
-                    "(or use send_along)"
-                )
-            raise KeyError(f"({u},{v}) is not a link of the host: {hint}") from None
-
-    def hop(self, u: Hashable, v: Hashable, t_ready: int) -> int:
-        """Inject one pebble into link ``u -> v``; return arrival time."""
-        return self.pipe(u, v).inject(t_ready)
-
-    def attach_faults(self, tables: FaultTables | None) -> None:
-        """Attach per-run fault tables consulted by :meth:`hop_faulty`.
-
-        Link-fault targets are edge *indices* in the graph's edge
-        enumeration order (the order pipes were built in).
-
-        The route/delay memos are dropped: entries computed before the
-        tables were attached know nothing about outage windows, and a
-        stale cached route must never mask one (routes asked for with
-        ``at=`` bypass the memos entirely while link faults are live).
-        """
-        self._faults = tables
-        self._route_cache.clear()
-        self._delay_cache.clear()
-
-    def hop_faulty(self, u: Hashable, v: Hashable, t_ready: int):
-        """Fault-aware :meth:`hop`: :data:`~repro.netsim.faults.LOST` on
-        a dead link / one-shot drop, jitter-inflated arrival otherwise.
-
-        Links are FIFO: a jitter window ending mid-stream must not let a
-        later pebble overtake an earlier, jitter-inflated one — arrivals
-        are clamped to stay monotone per directed link so downstream
-        pipes never see a non-monotone ``t_ready``.
-        """
-        pipe = self.pipe(u, v)  # raises the annotated KeyError on non-links
-        outcome = 0
-        if self._faults is not None:
-            idx, direction = self._edge_dir[(u, v)]
-            outcome = self._faults.link_outcome(idx, direction, t_ready)
-        if outcome is LOST:
-            pipe.inject(t_ready)
-            return LOST
-        arrival = pipe.inject(t_ready) + outcome
-        key = (u, v)
-        prev = self._last_out.get(key, 0)
-        if arrival < prev:
-            arrival = prev
-        else:
-            self._last_out[key] = arrival
-        return arrival
-
-    def _down_edges(self, at: int) -> list[tuple[Hashable, Hashable]]:
-        """Edges inside an outage window at time ``at`` (either
-        direction down disqualifies the edge for routing)."""
-        faults = self._faults
-        if faults is None or not faults.has_link_faults():
-            return []
-        return [
-            (u, v)
-            for (u, v), (idx, direction) in self._edge_dir.items()
-            if faults.is_link_down(idx, direction, at)
-        ]
-
-    def route(
-        self, src: Hashable, dst: Hashable, at: int | None = None
-    ) -> list[Hashable]:
-        """Shortest-delay route as a node list.
-
-        With ``at`` given and link faults attached, the route is
-        computed fresh on the subgraph of links up at time ``at`` —
-        never from the memo, which only describes the healthy topology.
-        Raises ``networkx.NetworkXNoPath`` when outages disconnect the
-        endpoints.
-        """
-        if at is not None:
-            down = self._down_edges(at)
-            if down:
-                view = nx.restricted_view(self.graph, [], down)
-                return nx.shortest_path(
-                    view, src, dst, weight=self._delay_attr
-                )
-        key = (src, dst)
-        path = self._route_cache.get(key)
-        if path is None:
-            path = self.router.path(src, dst)
-            self._route_cache[key] = path
-        return path
-
-    def route_delay(
-        self, src: Hashable, dst: Hashable, at: int | None = None
-    ) -> int:
-        """Sum of delays along :meth:`route` (uncontended transit time).
-
-        ``at`` behaves as in :meth:`route`: fault-aware and uncached
-        while any outage is scripted.
-        """
-        if at is not None:
-            down = self._down_edges(at)
-            if down:
-                path = self.route(src, dst, at=at)
-                return sum(
-                    self.graph[u][v][self._delay_attr]
-                    for u, v in zip(path, path[1:])
-                )
-        key = (src, dst)
-        delay = self._delay_cache.get(key)
-        if delay is None:
-            delay = self.router.delay(src, dst)
-            self._delay_cache[key] = delay
-        return delay
-
-    def send_along(self, path: Sequence[Hashable], t_ready: int) -> int:
-        """Send one pebble along an explicit path, hop by hop, with no
-        store-and-forward overhead beyond slot contention.
-
-        This is a *closed-form* convenience for explicit schedules; the
-        event-driven executors instead call :meth:`hop` per hop so that
-        contention from interleaved traffic is modelled exactly.
-        """
-        t = t_ready
-        for u, v in zip(path, path[1:]):
-            t = self.hop(u, v, t)
-        return t
-
-    def reset(self) -> None:
-        """Reset every pipe to idle (between repeated runs)."""
-        for pipe in self._pipes.values():
-            pipe.reset()
-        self._last_out.clear()
-
-    @property
-    def total_injections(self) -> int:
-        """Pebble-hops across all pipes (a bandwidth-usage metric)."""
-        return sum(p.injected for p in self._pipes.values())
-
-    def per_edge_injections(self) -> dict[tuple[Hashable, Hashable], int]:
-        """Lifetime injections per *directed* edge ``(u, v)``.
-
-        The per-link view of :attr:`total_injections` — which links a
-        run actually saturated.  Only edges that carried at least one
-        pebble appear.
-        """
-        return {
-            edge: pipe.injected
-            for edge, pipe in self._pipes.items()
-            if pipe.injected
-        }
 
 
 class LineFabric:
@@ -251,10 +45,6 @@ class LineFabric:
         self._faults: FaultTables | None = None
         # Last arrival handed out per directed link (monotone-delivery clamp).
         self._last_out: dict[tuple[int, int], int] = {}
-        # Prefix sums of delays for O(1) distance queries.
-        self._prefix = [0]
-        for d in self.link_delays:
-            self._prefix.append(self._prefix[-1] + d)
 
     def hop(self, pos: int, direction: int, t_ready: int) -> int:
         """Inject a pebble at ``pos`` heading ``direction`` (+1 right,
@@ -312,49 +102,9 @@ class LineFabric:
             self._last_out[key] = arrival
         return arrival
 
-    def distance(self, a: int, b: int) -> int:
-        """Total (uncontended) delay between positions ``a`` and ``b``."""
-        lo, hi = (a, b) if a <= b else (b, a)
-        return self._prefix[hi] - self._prefix[lo]
-
-    def total_delay(self) -> int:
-        """Sum of all link delays (== n * d_ave up to rounding)."""
-        return self._prefix[-1]
-
-    def average_delay(self) -> float:
-        """Average link delay d_ave of the array."""
-        if not self.link_delays:
-            return 0.0
-        return self.total_delay() / len(self.link_delays)
-
-    def max_delay(self) -> int:
-        """Maximum link delay d_max of the array."""
-        return max(self.link_delays, default=0)
-
-    def reset(self) -> None:
-        """Reset all pipes to idle (between repeated runs)."""
-        for pipe in self._right:
-            pipe.reset()
-        for pipe in self._left:
-            pipe.reset()
-        self._last_out.clear()
-
     @property
     def total_injections(self) -> int:
         """Pebble-hops across both directions of every link."""
         return sum(p.injected for p in self._right) + sum(
             p.injected for p in self._left
         )
-
-    def per_link_injections(self) -> list[tuple[int, int, int]]:
-        """Lifetime injections per link: ``(link, rightward, leftward)``
-        for each link ``j`` (joining positions ``j`` and ``j+1``).
-
-        The per-link view of :attr:`total_injections`: a run's link
-        occupancy profile, e.g. to spot the saturated boundary links an
-        OVERLAP assignment concentrates traffic on.
-        """
-        return [
-            (j, self._right[j].injected, self._left[j].injected)
-            for j in range(len(self._right))
-        ]

@@ -109,14 +109,13 @@ class FaultTables:
     can be replayed any number of times with identical outcomes.
     """
 
-    def __init__(self, plan: "FaultPlan", n: int, n_links: int | None = None) -> None:
+    def __init__(self, plan: "FaultPlan", n: int) -> None:
         self.plan = plan
         self.crash_times: dict[int, int] = {}
         self._outages: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._jitters: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
         self._drops: dict[tuple[int, int], list[int]] = {}
-        if n_links is None:
-            n_links = n - 1  # linear array: link j joins positions j, j+1
+        n_links = n - 1  # linear array: link j joins positions j, j+1
         horizon = plan.horizon
         for ev in plan.events:
             if horizon is not None and ev.time >= horizon:
@@ -217,9 +216,9 @@ class FaultTables:
         ``t``.
 
         Unlike :meth:`link_outcome` this is a pure query — it never
-        consumes one-shot drops — so routing layers may probe link
-        health as often as they like without perturbing the scripted
-        fault sequence.
+        consumes one-shot drops — so a caller may probe link health as
+        often as it likes without perturbing the scripted fault
+        sequence.
         """
         for t0, t1 in self._outages.get((link, direction), ()):
             if t0 <= t < t1:

@@ -119,25 +119,6 @@ class LinkPipe:
         self._injected += count
         return arrivals
 
-    def busy_until(self) -> int:
-        """First step at which a new injection would not queue.
-
-        An idle (fresh or reset) pipe reports ``0`` — schedulers must
-        never see a negative ready time.
-        """
-        if self._slot_time < 0:
-            return 0
-        if self._slot_used >= self.bandwidth:
-            return self._slot_time + 1
-        return self._slot_time
-
-    def reset(self) -> None:
-        """Return the pipe to its initial (idle) state."""
-        self._slot_time = -1
-        self._slot_used = 0
-        self._injected = 0
-        self._last_ready = -1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"LinkPipe(delay={self.delay}, bw={self.bandwidth}, "

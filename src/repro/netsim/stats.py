@@ -12,8 +12,8 @@ single :func:`percentile` implementation used by step-latency
 reporting here, by :class:`~repro.telemetry.timeline.MetricsTimeline`
 and by :class:`~repro.telemetry.service.ServiceMetrics`, plus the
 *distribution extras* convention — an extras value shaped
-``{"__dist__": True, "samples": [...]}`` whose samples concatenate
-(never add) when stats from several runs are merged.
+``{"__dist__": True, "samples": [...]}`` that :meth:`SimStats.as_dict`
+renders as its percentile summary instead of the raw samples.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ def percentile(values, q: float):
 def make_dist(samples) -> dict:
     """Wrap raw samples as a distribution-valued extras entry.
 
-    Distribution extras survive :meth:`SimStats.merge` by sample
-    concatenation — the percentile of a merged distribution is computed
-    over the union of samples, which adding (the numeric merge rule)
-    would silently corrupt.
+    The marker tells :meth:`SimStats.as_dict` to report the entry's
+    ``{count, mean, p50, p95, p99}`` summary, not its samples.
     """
     return {"__dist__": True, "samples": list(samples)}
 
@@ -87,58 +85,6 @@ def latencies_from_completions(step_done) -> list[int]:
     ]
 
 
-def _extras_kind(value) -> str:
-    """Merge-kind of one extras value: ``number`` accumulates, ``dist``
-    concatenates samples, ``dict`` merges recursively, ``list``
-    concatenates, anything else is an opaque scalar (last-writer-wins
-    among its own kind)."""
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    if is_dist(value):
-        return "dist"
-    if isinstance(value, dict):
-        return "dict"
-    if isinstance(value, (list, tuple)):
-        return "list"
-    return type(value).__name__
-
-
-def _merge_extras(target: dict, source: dict, path: str) -> None:
-    """Merge ``source`` into ``target`` in place, by value kind.
-
-    Raises ``ValueError`` when the two sides hold different kinds under
-    the same key — a silent pick-one would lose data (the seed behaviour
-    this replaces dropped whichever side a numeric check rejected).
-    """
-    for key, value in source.items():
-        if key not in target:
-            target[key] = value
-            continue
-        current = target[key]
-        kind, other_kind = _extras_kind(current), _extras_kind(value)
-        if kind != other_kind:
-            raise ValueError(
-                f"cannot merge SimStats {path}[{key!r}]: "
-                f"{kind} vs {other_kind}"
-            )
-        if kind == "number":
-            target[key] = current + value
-        elif kind == "dist":
-            target[key] = make_dist(
-                list(current["samples"]) + list(value["samples"])
-            )
-        elif kind == "dict":
-            _merge_extras(current, value, path=f"{path}[{key!r}]")
-        elif kind == "list":
-            target[key] = list(current) + list(value)
-        else:
-            # Same-kind scalars (labels, bools, ...): last writer wins,
-            # matching the established behaviour for tags like "smoke".
-            target[key] = value
-
-
 @dataclass
 class SimStats:
     """Counters for one simulation run."""
@@ -165,10 +111,6 @@ class SimStats:
             raise ValueError("guest_steps must be positive")
         return self.makespan / guest_steps
 
-    def work(self) -> int:
-        """Total pebble computations performed by the host."""
-        return self.pebbles
-
     def tag_smoke(self, smoke: bool = True) -> "SimStats":
         """Label these stats as coming from a smoke-sized run.
 
@@ -188,8 +130,8 @@ class SimStats:
     def record_step_latency(self, samples) -> "SimStats":
         """Attach the per-step latency distribution of this run.
 
-        Stored as a distribution extras entry so sweep-level merges
-        concatenate the samples; :meth:`step_latency_summary` and
+        Stored as a distribution extras entry: :meth:`step_latency_samples`
+        returns the raw samples, and :meth:`step_latency_summary` and
         :meth:`as_dict` render the percentile view.  Returns ``self``
         for chaining.
         """
@@ -209,43 +151,12 @@ class SimStats:
             return None
         return dist_summary(dist["samples"])
 
-    def redundancy_factor(self) -> float:
-        """Computed pebbles per distinct pebble (1.0 == no redundancy)."""
-        distinct = self.pebbles - self.redundant
-        if distinct <= 0:
-            return float("nan")
-        return self.pebbles / distinct
-
-    def merge(self, other: "SimStats") -> None:
-        """Accumulate another run's counters into this one (sweeps)."""
-        self.makespan = max(self.makespan, other.makespan)
-        self.pebbles += other.pebbles
-        self.redundant += other.redundant
-        self.messages += other.messages
-        self.pebble_hops += other.pebble_hops
-        self.idle_steps += other.idle_steps
-        self.procs_used = max(self.procs_used, other.procs_used)
-        self.faults_injected += other.faults_injected
-        self.lost_messages += other.lost_messages
-        self.retries += other.retries
-        self.recoveries += other.recoveries
-        self.columns_lost += other.columns_lost
-        self.crashed_nodes += other.crashed_nodes
-        # ``extras`` carries experiment-specific counters and structures.
-        # Merge by kind: numbers accumulate like the built-in counters,
-        # dicts merge recursively, lists concatenate, and scalars of any
-        # other same kind (labels, bools) are last-writer-wins.  A kind
-        # *conflict* (e.g. a count on one side, a label on the other)
-        # raises instead of silently dropping one side's data.
-        _merge_extras(self.extras, other.extras, path="extras")
-
     def as_dict(self) -> dict:
         """Plain-dict view for report tables.
 
         Distribution extras are rendered as their percentile summary —
         report tables want ``{count, mean, p50, p95, p99}``, not ten
-        thousand raw samples (which stay available on :attr:`extras`
-        for merging).
+        thousand raw samples (which stay available on :attr:`extras`).
         """
         extras = {
             key: dist_summary(value["samples"]) if is_dist(value) else value

@@ -371,13 +371,17 @@ def _worker_init() -> None:
 
 
 def _get_pool(workers: int):
-    """The shared pool, recreated only when the worker count changes.
+    """The shared pool, recreated when the worker count changes or a
+    worker died.
 
-    Returns ``(pool, reused)`` — ``reused`` is False when this call had
-    to (re)spawn workers.
+    A pool whose worker died is marked broken (``_broken``) and refuses
+    every later task, so it is replaced; the call that lost the worker
+    has already raised ``BrokenProcessPool``.  Returns ``(pool,
+    reused)`` — ``reused`` is False when this call had to (re)spawn
+    workers.
     """
     global _pool, _pool_workers
-    if _pool is not None and _pool_workers == workers:
+    if _pool is not None and _pool_workers == workers and not _pool._broken:
         return _pool, True
     if _pool is not None:
         _pool.shutdown(wait=False, cancel_futures=True)

@@ -12,9 +12,10 @@ dependencies).  Request object::
 
 Every response line echoes the request ``id`` and carries an ``event``
 field — the lifecycle events of :meth:`SimulationService.stream` plus
-``error`` for malformed requests (bad JSON, unknown task name).  The
-task registry (:data:`repro.service.tasks.TASKS`) is the allow-list;
-nothing else is callable over the wire.
+``error`` for malformed requests (bad JSON, a line that is not a JSON
+object, unknown task name).  The task registry
+(:data:`repro.service.tasks.TASKS`) is the allow-list; nothing else is
+callable over the wire.
 
 Requests on one connection are served sequentially (responses stay
 ordered); concurrency — and therefore coalescing and backpressure —
@@ -74,6 +75,10 @@ async def _handle(service: SimulationService, reader, writer) -> None:
                 req = json.loads(line)
             except json.JSONDecodeError as exc:
                 _send(writer, {"event": "error", "error": f"bad request JSON: {exc}"})
+                await writer.drain()
+                continue
+            if not isinstance(req, dict):
+                _send(writer, {"event": "error", "error": "request must be a JSON object"})
                 await writer.drain()
                 continue
             await _serve_request(service, writer, req, default_client)

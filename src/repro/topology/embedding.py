@@ -35,8 +35,7 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.machine.host import HostArray, HostGraph
-from repro.netsim.routing import DELAY_ATTR
+from repro.machine.host import DELAY_ATTR, HostArray, HostGraph
 
 
 def tree_cube_order(tree: nx.Graph, start_edge: tuple | None = None) -> list:

@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 
 import networkx as nx
 
-from repro.machine.host import HostArray, HostGraph
-from repro.netsim.routing import DELAY_ATTR
+from repro.machine.host import DELAY_ATTR, HostArray, HostGraph
 
 DelayFn = Callable[[int], Sequence[int]]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.routing import DELAY_ATTR
+from repro.machine.host import DELAY_ATTR
 from repro.topology.embedding import embed_linear_array, tree_cube_order
 from repro.topology.generators import (
     clique_chain_host,

@@ -1,10 +1,9 @@
-"""EventQueue and Clock semantics."""
+"""EventQueue semantics."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.netsim.events import Clock, EventQueue
+from repro.netsim.events import EventQueue
 
 
 def test_pop_orders_by_time():
@@ -24,33 +23,10 @@ def test_fifo_among_simultaneous_events():
 
 def test_peek_time_and_len():
     q = EventQueue()
-    assert q.peek_time() is None
     assert not q
     q.push(4, "x")
-    assert q.peek_time() == 4
     assert len(q) == 1
     assert q
-
-
-def test_drain_processes_events_pushed_during_iteration():
-    q = EventQueue()
-    q.push(0, "start")
-    seen = []
-    for ev in q.drain():
-        seen.append((ev.time, ev.kind))
-        if ev.kind == "start":
-            q.push(2, "later")
-            q.push(1, "middle")
-    assert seen == [(0, "start"), (1, "middle"), (2, "later")]
-
-
-def test_push_pop_counters():
-    q = EventQueue()
-    q.push(1, "a")
-    q.push(2, "b")
-    q.pop()
-    assert q.pushes == 2
-    assert q.pops == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200))
@@ -60,20 +36,3 @@ def test_pop_sequence_is_sorted(times):
         q.push(t, None)
     out = [q.pop().time for _ in range(len(times))]
     assert out == sorted(times)
-
-
-def test_clock_advances_and_rejects_time_travel():
-    c = Clock()
-    c.advance_to(5)
-    c.advance_to(5)
-    c.advance_to(9)
-    assert c.now == 9
-    assert c.horizon == 9
-    with pytest.raises(ValueError):
-        c.advance_to(3)
-
-
-def test_clock_horizon_tracks_max():
-    c = Clock()
-    c.advance_to(10)
-    assert c.horizon == 10

@@ -1,60 +1,11 @@
-"""Fabric and LineFabric: multi-hop pipelined transport."""
+"""LineFabric: pipelined transport along a linear-array host."""
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.netsim.fabric import Fabric, LineFabric
-from repro.netsim.faults import FaultPlan, FaultTables
-from repro.netsim.routing import DELAY_ATTR
-
-
-def path_graph(delays):
-    g = nx.Graph()
-    for i, d in enumerate(delays):
-        g.add_edge(i, i + 1, **{DELAY_ATTR: d})
-    return g
-
-
-class TestFabric:
-    def test_hop_uses_link_delay(self):
-        f = Fabric(path_graph([3, 5]), bandwidth=1)
-        assert f.hop(0, 1, 0) == 3
-        assert f.hop(1, 2, 3) == 8
-
-    def test_directions_are_independent_pipes(self):
-        f = Fabric(path_graph([2]), bandwidth=1)
-        assert f.hop(0, 1, 0) == 2
-        assert f.hop(1, 0, 0) == 2  # no contention with the other direction
-
-    def test_unknown_link_rejected(self):
-        f = Fabric(path_graph([1, 1]))
-        with pytest.raises(KeyError):
-            f.hop(0, 2, 0)
-
-    def test_route_and_delay(self):
-        g = path_graph([4, 4])
-        g.add_edge(0, 2, **{DELAY_ATTR: 3})  # shortcut
-        f = Fabric(g)
-        assert f.route(0, 2) == [0, 2]
-        assert f.route_delay(0, 2) == 3
-
-    def test_send_along_accumulates_hops(self):
-        f = Fabric(path_graph([2, 3, 4]), bandwidth=1)
-        assert f.send_along([0, 1, 2, 3], 0) == 9
-
-    def test_total_injections_counts_pebble_hops(self):
-        f = Fabric(path_graph([1, 1]))
-        f.send_along([0, 1, 2], 0)
-        assert f.total_injections == 2
-
-    def test_reset(self):
-        f = Fabric(path_graph([1]), bandwidth=1)
-        f.hop(0, 1, 0)
-        f.reset()
-        assert f.total_injections == 0
-        assert f.hop(0, 1, 0) == 1
+from repro.netsim.fabric import LineFabric
+from repro.netsim.faults import LOST, FaultPlan, FaultTables
 
 
 class TestLineFabric:
@@ -64,18 +15,10 @@ class TestLineFabric:
         assert lf.hop(0, +1, 0) == 2
         assert lf.hop(2, -1, 0) == 7
 
-    def test_distance_prefix_sums(self):
-        lf = LineFabric([2, 7, 1])
-        assert lf.distance(0, 3) == 10
-        assert lf.distance(3, 0) == 10
-        assert lf.distance(1, 2) == 7
-        assert lf.distance(2, 2) == 0
-
-    def test_aggregate_delay_stats(self):
-        lf = LineFabric([1, 3, 8])
-        assert lf.total_delay() == 12
-        assert lf.average_delay() == 4.0
-        assert lf.max_delay() == 8
+    def test_directions_are_independent_pipes(self):
+        lf = LineFabric([2], bandwidth=1)
+        assert lf.hop(0, +1, 0) == 2
+        assert lf.hop(1, -1, 0) == 2  # no contention with the other direction
 
     def test_bandwidth_contention_per_direction(self):
         lf = LineFabric([5], bandwidth=2)
@@ -142,6 +85,17 @@ class TestLineFabric:
         # untouched and must not inherit the clamp.
         assert lf.hop_faulty(1, -1, 0) == 2
 
+    def test_undirected_outage_loses_both_directions(self):
+        # An outage with direction=None takes down both pipes of the
+        # link; the neighbouring link is untouched.
+        plan = FaultPlan().link_down(0, time=0, duration=100)
+        lf = LineFabric([2, 2], bandwidth=1)
+        lf.attach_faults(FaultTables(plan, n=3))
+        assert lf.hop_faulty(0, +1, 0) is LOST
+        assert lf.hop_faulty(1, -1, 0) is LOST
+        assert lf.hop_faulty(1, +1, 0) == 2
+        assert lf.hop_faulty(2, -1, 0) == 2
+
     @given(
         st.integers(min_value=1, max_value=6),  # jitter extra
         st.integers(min_value=1, max_value=5),  # jitter window length
@@ -159,94 +113,17 @@ class TestLineFabric:
             assert arr >= last
             last = arr
 
-    def test_reset_clears_monotone_clamp(self):
-        plan = FaultPlan().jitter(0, time=0, duration=1, extra=50)
-        lf = LineFabric([2], bandwidth=1)
-        lf.attach_faults(FaultTables(plan, n=2))
-        assert lf.hop_faulty(0, +1, 0) == 52
-        lf.reset()
-        lf.attach_faults(None)
-        assert lf.hop_faulty(0, +1, 0) == 2  # no stale clamp from last run
-
-    def test_reset_and_injection_count(self):
-        lf = LineFabric([1, 1])
-        lf.hop(0, +1, 0)
-        lf.hop(1, +1, 1)
-        lf.hop(1, -1, 0)
-        assert lf.total_injections == 3
-        lf.reset()
-        assert lf.total_injections == 0
-
 
 class TestFaultAwareRouting:
-    """A cached route/delay memo must never mask an outage window."""
-
-    def triangle(self):
-        g = nx.Graph()
-        g.add_edge(0, 1, **{DELAY_ATTR: 1})  # edge index 0
-        g.add_edge(0, 2, **{DELAY_ATTR: 1})  # edge index 1
-        g.add_edge(1, 2, **{DELAY_ATTR: 1})  # edge index 2
-        return g
-
-    def test_attach_faults_drops_stale_memos(self):
-        f = Fabric(self.triangle())
-        assert f.route(0, 1) == [0, 1]  # warm the memo pre-attach
-        assert f.route_delay(0, 1) == 1
-        assert f._route_cache and f._delay_cache
-        f.attach_faults(FaultTables(FaultPlan(), n=3, n_links=3))
-        assert not f._route_cache and not f._delay_cache
-
-    def test_cached_route_does_not_mask_outage(self):
-        f = Fabric(self.triangle())
-        assert f.route(0, 1) == [0, 1]  # memoised on the healthy graph
-        plan = FaultPlan().link_down(0, time=10, duration=10)
-        f.attach_faults(FaultTables(plan, n=3, n_links=3))
-        # Inside the window the direct link is down: the fabric must
-        # return the detour, not the pre-attach memo.
-        assert f.route(0, 1, at=15) == [0, 2, 1]
-        assert f.route_delay(0, 1, at=15) == 2
-        # Outside the window the direct route is valid again.
-        assert f.route(0, 1, at=25) == [0, 1]
-        assert f.route_delay(0, 1, at=25) == 1
-
-    def test_outage_can_disconnect(self):
-        g = nx.Graph()
-        g.add_edge(0, 1, **{DELAY_ATTR: 1})
-        f = Fabric(g)
-        plan = FaultPlan().link_down(0, time=0, duration=5)
-        f.attach_faults(FaultTables(plan, n=2, n_links=1))
-        with pytest.raises(nx.NetworkXNoPath):
-            f.route(0, 1, at=2)
+    """Link-health probes on the compiled fault tables."""
 
     def test_is_link_down_is_pure(self):
         # Probing link health must not consume one-shot drops.
         plan = FaultPlan().link_down(0, time=5, duration=5).drop(1, time=0)
-        tables = FaultTables(plan, n=3, n_links=3)
+        tables = FaultTables(plan, n=4)
         for _ in range(3):
             assert tables.is_link_down(0, 1, 7)
             assert not tables.is_link_down(0, 1, 3)
             assert not tables.is_link_down(1, 1, 0)  # drop is not an outage
-        from repro.netsim.faults import LOST
-
         assert tables.link_outcome(1, 1, 0) is LOST  # drop still armed
         assert tables.link_outcome(1, 1, 0) == 0  # ... and one-shot
-
-
-class TestPerLinkInjections:
-    def test_line_fabric_per_link_sums_to_total(self):
-        f = LineFabric([2, 3], bandwidth=1)
-        f.hop(0, +1, 0)
-        f.hop(0, +1, 0)  # contends for the same rightward pipe
-        f.hop(1, -1, 0)  # leftward over link 0
-        f.hop(1, +1, 0)  # rightward over link 1
-        per = f.per_link_injections()
-        assert per == [(0, 2, 1), (1, 1, 0)]
-        assert sum(r + l for _j, r, l in per) == f.total_injections == 4
-
-    def test_fabric_per_edge_only_lists_used_edges(self):
-        f = Fabric(path_graph([1, 1]))
-        f.hop(0, 1, 0)
-        f.hop(0, 1, 0)
-        per = f.per_edge_injections()
-        assert per == {(0, 1): 2}
-        assert sum(per.values()) == f.total_injections

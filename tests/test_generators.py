@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.netsim.routing import DELAY_ATTR
+from repro.machine.host import DELAY_ATTR
 from repro.topology.generators import (
     clique_chain_host,
     h1_host,

@@ -3,8 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.machine.host import HostArray, HostGraph, delays_from_positions
-from repro.netsim.routing import DELAY_ATTR
+from repro.machine.host import DELAY_ATTR, HostArray, HostGraph, delays_from_positions
 
 
 class TestHostArray:
@@ -50,13 +49,6 @@ class TestHostArray:
         f = h.fabric(bandwidth=2)
         assert f.link_delays == [4, 9]
         assert f.bandwidth == 2
-
-    def test_as_graph_round_trip(self):
-        h = HostArray([3, 6])
-        g = h.as_graph()
-        assert g.number_of_nodes() == 3
-        assert g[0][1][DELAY_ATTR] == 3
-        assert g[1][2][DELAY_ATTR] == 6
 
 
 class TestHostGraph:

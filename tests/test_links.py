@@ -62,34 +62,6 @@ def test_invalid_parameters_rejected():
         LinkPipe(1, 0)
 
 
-def test_reset_restores_idle_state():
-    pipe = LinkPipe(delay=4, bandwidth=1)
-    pipe.inject(0)
-    pipe.inject(0)
-    pipe.reset()
-    assert pipe.injected == 0
-    assert pipe.inject(0) == 4
-
-
-def test_busy_until_idle_pipe_is_zero():
-    # A fresh (or reset) pipe has no backlog: slot 0 is free, so the
-    # earliest fully-usable slot is time 0, not -1.
-    pipe = LinkPipe(delay=3, bandwidth=1)
-    assert pipe.busy_until() == 0
-    pipe.inject(0)
-    pipe.reset()
-    assert pipe.busy_until() == 0
-
-
-def test_busy_until_reflects_backlog():
-    pipe = LinkPipe(delay=1, bandwidth=1)
-    pipe.inject(0)
-    assert pipe.busy_until() == 1
-    pipe2 = LinkPipe(delay=1, bandwidth=2)
-    pipe2.inject(0)
-    assert pipe2.busy_until() == 0
-
-
 def test_inject_many_matches_repeated_inject():
     a = LinkPipe(delay=4, bandwidth=2)
     b = LinkPipe(delay=4, bandwidth=2)

@@ -94,8 +94,7 @@ def test_overlap_result_summary_roundtrip():
 def test_host_graph_name_default():
     import networkx as nx
 
-    from repro.machine.host import HostGraph
-    from repro.netsim.routing import DELAY_ATTR
+    from repro.machine.host import DELAY_ATTR, HostGraph
 
     g = nx.path_graph(3)
     nx.set_edge_attributes(g, 1, DELAY_ATTR)

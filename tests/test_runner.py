@@ -1,6 +1,8 @@
 """SweepRunner: parallel fan-out, content-hash caching, seeding contract."""
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.runner import (
     canonical_json,
     config_hash,
     config_seed,
+    shutdown_pool,
     sweep,
     using,
 )
@@ -179,6 +182,27 @@ class TestParallelPool:
         runner.map(_square, [{"x": 1}])
         assert runner.last_chunk_size == 0
         assert runner.last_pool_reused is False
+
+
+def _exit_on_three(cfg: dict) -> dict:
+    """Kills the worker process that runs ``x == 3``."""
+    if cfg["x"] == 3:
+        os._exit(1)
+    return _square(cfg)
+
+
+class TestDeadWorker:
+    def teardown_method(self):
+        shutdown_pool()
+
+    def test_later_calls_get_a_fresh_pool(self):
+        with pytest.raises(BrokenProcessPool):
+            SweepRunner(workers=2).map(_exit_on_three, [{"x": x} for x in range(6)])
+        runner = SweepRunner(workers=2)
+        configs = [{"x": x} for x in range(4)]
+        assert runner.map(_square, configs) == [_square(c) for c in configs]
+        ticket = runner.submit(_square, {"x": 5})
+        assert ticket.future.result(timeout=60) == _square({"x": 5})
 
 
 class TestAmbientRunner:

@@ -484,5 +484,33 @@ def test_tcp_round_trip_and_unknown_task(tmp_path):
     asyncio.run(main())
 
 
+def test_tcp_non_object_request_keeps_connection(tmp_path):
+    async def main():
+        svc = _service(tmp_path)
+        server = await start_server(svc, port=0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        valid = {"id": "ok", "task": "ring_point", "config": {"n": 8, "steps": 2}}
+        for line in ("[1, 2]", '"x"', "7", "null", _dump(valid)):
+            writer.write((line + "\n").encode())
+        await writer.drain()
+        events = []
+        for _ in range(5):
+            line = await asyncio.wait_for(reader.readline(), timeout=30)
+            assert line, "server closed the connection"
+            events.append(json.loads(line))
+        assert [e["event"] for e in events] == ["error"] * 4 + ["done"]
+        assert all(
+            e["error"] == "request must be a JSON object" for e in events[:4]
+        )
+        assert events[-1]["id"] == "ok"
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(main())
+
+
 def teardown_module(_module) -> None:
     shutdown_pool()
