@@ -10,8 +10,6 @@ Two claims are pinned down here:
   rate grows — the R1 curve, benched end-to-end.
 """
 
-from conftest import run_experiment_bench
-
 from repro.core.assignment import assign_databases
 from repro.core.executor import GreedyExecutor
 from repro.core.killing import kill_and_label
@@ -83,14 +81,3 @@ def test_overlap_degradation_5pct_crashes(benchmark):
 def test_overlap_degradation_15pct_crashes(benchmark):
     _crash_bench(benchmark, 0.15)
 
-
-def test_r1_experiment(benchmark):
-    run_experiment_bench(
-        benchmark,
-        "r1",
-        expected_true=[
-            "zero-rate run identical to fault-free",
-            "every run verified or deadlocked",
-            "degradation grows with fault rate",
-        ],
-    )

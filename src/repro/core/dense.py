@@ -60,10 +60,12 @@ exactly the flat ``link_delays`` array of the embedded
 :class:`~repro.machine.host.HostArray`); ``tests/test_dense_faults.py``
 does the same under fault plans.
 
-Only multicast streams, scheduling jitter (``tie_seed``) and
-redundant-issue racing still take the greedy engine;
+Only redundant-issue racing still takes the greedy engine;
 :func:`resolve_engine` encodes that selection rule for the
-``engine="auto"`` front-ends.  Telemetry is supported on both tiers: an
+``engine="auto"`` front-ends.  Multicast streams and scheduling jitter
+(``tie_seed``) exist only on
+:class:`~repro.core.executor.GreedyExecutor`, which callers construct
+directly.  Telemetry is supported on both tiers: an
 attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed
 inline, call for call like the greedy loop, so its per-step counters,
 fault marks and per-pebble records equal the greedy run's; detached,
@@ -110,13 +112,7 @@ _REQ = 5
 _WATCH = 6
 
 
-def resolve_engine(
-    engine: str,
-    *,
-    multicast: bool = False,
-    tie_seed=None,
-    exec_policy=None,
-) -> str:
+def resolve_engine(engine: str, *, exec_policy=None) -> str:
     """Pick the execution tier for one simulation.
 
     ``auto`` selects ``dense`` exactly when the run needs none of the
@@ -131,11 +127,10 @@ def resolve_engine(
     :class:`~repro.core.dense_faults.FaultedDenseExecutor` tier (dense
     between fault boundaries, bit-identical to greedy), and neither is an
     attached telemetry timeline, which both tiers feed identically.  The
-    fallback reasons are multicast streams, scheduling jitter
-    (``tie_seed``) and redundant-issue racing (``exec_policy``): raced
-    subscriptions make delivery order value-dependent on which replica
-    wins, which the dense skeleton's single-stream watermarks cannot
-    express.  The *stealing* half of an
+    one fallback reason is redundant-issue racing (``exec_policy``):
+    raced subscriptions make delivery order value-dependent on which
+    replica wins, which the dense skeleton's single-stream watermarks
+    cannot express.  The *stealing* half of an
     :class:`~repro.core.racing.ExecPolicy` never forces greedy — it is a
     pre-execution assignment rebalance both tiers consume as-is.
     """
@@ -143,22 +138,16 @@ def resolve_engine(
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "greedy":
         return "greedy"
-    reasons = []
-    if multicast:
-        reasons.append("multicast streams")
-    if tie_seed is not None:
-        reasons.append("scheduling jitter")
-    if exec_policy is not None:
-        from repro.core.racing import resolve_policy
+    if exec_policy is None:
+        return "dense"
+    from repro.core.racing import resolve_policy
 
-        resolved = resolve_policy(exec_policy)
-        if resolved.racing and resolved.fanout > 1:
-            reasons.append("redundant-issue racing")
-    if not reasons:
+    resolved = resolve_policy(exec_policy)
+    if not (resolved.racing and resolved.fanout > 1):
         return "dense"
     if engine == "dense":
         raise ValueError(
-            f"engine='dense' cannot honour {', '.join(reasons)}; "
+            "engine='dense' cannot honour redundant-issue racing; "
             "use engine='auto' (falls back) or engine='greedy'"
         )
     return "greedy"
@@ -1045,49 +1034,49 @@ def build_executor(
     steps: int,
     bandwidth: int | None = None,
     checkpoint_stride: int | None = None,
-    **greedy_kwargs,
+    *,
+    faults=None,
+    policy=None,
+    reassign=None,
+    dep_map=None,
+    col_label=None,
+    telemetry=None,
+    exec_policy=None,
 ):
     """Resolve the tier and construct the matching executor.
 
-    ``greedy_kwargs`` are the feature knobs (``faults``, ``policy``,
-    ``multicast``, ...).  Multicast, ``tie_seed`` and racing force (or,
-    under ``engine='auto'``, silently select) the greedy engine.
-    ``telemetry``, ``dep_map``/``col_label`` and fault plans do not:
-    both tiers support an attached
-    :class:`~repro.telemetry.timeline.MetricsTimeline` and relabelled
-    (ring) guests, and a non-empty ``faults`` plan on the dense tier
-    constructs the segmented
-    :class:`~repro.core.dense_faults.FaultedDenseExecutor`.
+    Racing (``exec_policy``) forces (or, under ``engine='auto'``,
+    silently selects) the greedy engine.  ``telemetry``,
+    ``dep_map``/``col_label`` and fault plans do not: both tiers support
+    an attached :class:`~repro.telemetry.timeline.MetricsTimeline` and
+    relabelled (ring) guests, and a non-empty ``faults`` plan on the
+    dense tier constructs the segmented
+    :class:`~repro.core.dense_faults.FaultedDenseExecutor`, which takes
+    ``policy`` and ``reassign`` as the greedy engine does.
     ``checkpoint_stride`` reaches both dense tiers; the greedy engine
-    takes no checkpoints.
+    takes no checkpoints.  Multicast streams and ``tie_seed`` are
+    :class:`~repro.core.executor.GreedyExecutor` parameters only.
     """
     from repro.core.executor import GreedyExecutor
 
-    resolved = resolve_engine(
-        engine,
-        multicast=greedy_kwargs.get("multicast", False),
-        tie_seed=greedy_kwargs.get("tie_seed"),
-        exec_policy=greedy_kwargs.get("exec_policy"),
-    )
-    if resolved == "greedy":
+    if resolve_engine(engine, exec_policy=exec_policy) == "greedy":
         return GreedyExecutor(
-            host, assignment, program, steps, bandwidth, **greedy_kwargs
+            host, assignment, program, steps, bandwidth,
+            dep_map=dep_map, col_label=col_label, faults=faults,
+            policy=policy, reassign=reassign, telemetry=telemetry,
+            exec_policy=exec_policy,
         )
     dense_kwargs = dict(
-        dep_map=greedy_kwargs.get("dep_map"),
-        col_label=greedy_kwargs.get("col_label"),
-        telemetry=greedy_kwargs.get("telemetry"),
+        dep_map=dep_map,
+        col_label=col_label,
+        telemetry=telemetry,
         checkpoint_stride=checkpoint_stride,
     )
-    faults = greedy_kwargs.get("faults")
     if faults is not None and not faults.is_empty:
         from repro.core.dense_faults import FaultedDenseExecutor
 
         return FaultedDenseExecutor(
             host, assignment, program, steps, bandwidth,
-            faults=faults,
-            policy=greedy_kwargs.get("policy"),
-            reassign=greedy_kwargs.get("reassign"),
-            **dense_kwargs,
+            faults=faults, policy=policy, reassign=reassign, **dense_kwargs,
         )
     return DenseExecutor(host, assignment, program, steps, bandwidth, **dense_kwargs)

@@ -456,16 +456,13 @@ def test_resolve_engine_auto_prefers_dense():
 def test_resolve_engine_fallback_triggers():
     # Since the segmented tier, faults/policy/forced_dead no longer
     # force greedy, and a timeline is fed by both tiers — only
-    # multicast and tie_seed remain.
-    assert resolve_engine("auto", multicast=True) == "greedy"
-    assert resolve_engine("auto", tie_seed=7) == "greedy"
+    # redundant-issue racing remains.
+    assert resolve_engine("auto", exec_policy="racing") == "greedy"
 
 
 def test_resolve_engine_dense_refuses_greedy_features():
-    with pytest.raises(ValueError, match="multicast"):
-        resolve_engine("dense", multicast=True)
-    with pytest.raises(ValueError, match="scheduling jitter"):
-        resolve_engine("dense", tie_seed=7)
+    with pytest.raises(ValueError, match="racing"):
+        resolve_engine("dense", exec_policy="racing")
     with pytest.raises(ValueError):
         resolve_engine("nope")
 
@@ -498,7 +495,7 @@ def test_build_executor_dispatch():
     )
     assert isinstance(
         build_executor(
-            "auto", host, assignment, prog, 4, tie_seed=3
+            "auto", host, assignment, prog, 4, exec_policy="racing"
         ),
         GreedyExecutor,
     )

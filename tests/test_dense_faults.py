@@ -269,7 +269,7 @@ def test_faulted_auto_resolves_dense():
 
     assert isinstance(build(), FaultedDenseExecutor)
     # Greedy-only machinery still wins over faults.
-    assert isinstance(build(tie_seed=3), GreedyExecutor)
+    assert isinstance(build(exec_policy="racing"), GreedyExecutor)
 
 
 def test_build_executor_faulted_dispatch():

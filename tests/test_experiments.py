@@ -78,7 +78,8 @@ def test_cli_all_json_flag(tmp_path, monkeypatch):
 def test_full_mode_runs_for_a_cheap_experiment():
     result = get_experiment("f5")(quick=False)
     assert result.rows
-    assert all(result.summary.values()) or True  # shape keys present
+    checks = [v for v in result.summary.values() if isinstance(v, bool)]
+    assert checks and all(checks), result.summary  # every shape check holds
     assert len(result.rows) >= 4  # full mode sweeps more sizes
 
 

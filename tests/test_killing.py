@@ -14,6 +14,7 @@ from repro.core.killing import (
     lemma2_bound,
     lemma4_checks,
 )
+from repro.core.overlap import simulate_overlap
 from repro.machine.host import HostArray
 from repro.topology.delays import bimodal_delays, pareto_delays
 
@@ -107,6 +108,21 @@ class TestKilling:
         assert res.killed_stage1
         # Live processors still form a usable majority.
         assert res.n_live >= 64
+
+    def test_stage2_kills_sparse_interval(self):
+        # Positions 0 and 8 are the only survivors in [0, 15]: its
+        # stage-2 label 1 + 1 - m_1 = 1.2 is below 2 m_1 = 1.6, so
+        # stage 2 kills both and the run uses the dense half [16, 31].
+        host = HostArray.uniform(32, 1)
+        dead = set(range(1, 8)) | set(range(9, 16))
+        res = kill_and_label(host, c=4.0, forced_dead=dead)
+        assert not res.killed_stage1
+        assert res.killed_stage2 == {0, 8}
+        assert res.n_live == 16
+        run = simulate_overlap(host, steps=6, forced_dead=dead, verify=True)
+        assert run.verified
+        assert run.m == 14
+        assert run.exec_result.stats.makespan == 14
 
     def test_live_positions_sorted_and_consistent(self):
         host = host_from_seed(64, 9, "pareto")
