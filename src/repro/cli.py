@@ -61,6 +61,7 @@ _TITLES = {
     "x2": "Section 5  - Theorem 8 in D dimensions",
     "x3": "Calibration - measured constants of the bounds",
     "x4": "Planner    - block-factor recommendation vs measured",
+    "x5": "Delta      - incremental re-simulation after one-knob edits",
 }
 
 
@@ -380,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=("auto", "dense", "greedy"),
             default="auto",
-            help="execution tier for fault-free simulations: auto picks "
-            "the dense fast path when possible (default), dense forces "
-            "it, greedy forces the event-driven engine; results are "
-            "bit-identical either way",
+            help="execution tier: auto and dense run the dense fast "
+            "path (default), greedy runs the event-driven reference "
+            "engine; results are bit-identical either way",
         )
         p.add_argument(
             "--policy",
@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("auto", "dense", "greedy"),
         default="auto",
-        help="execution tier: auto picks the dense fast path (default), "
-        "dense forces it, greedy forces the event-driven engine; the "
+        help="execution tier: auto and dense run the dense fast path "
+        "(default), greedy runs the event-driven reference engine; the "
         "output is identical on every tier",
     )
     p_trace.add_argument(

@@ -60,10 +60,17 @@ exactly the flat ``link_delays`` array of the embedded
 :class:`~repro.machine.host.HostArray`); ``tests/test_dense_faults.py``
 does the same under fault plans.
 
-Only redundant-issue racing still takes the greedy engine;
-:func:`resolve_engine` encodes that selection rule for the
-``engine="auto"`` front-ends.  Multicast streams and scheduling jitter
-(``tie_seed``) exist only on
+**Racing replays on the same buckets.**  Under a racing ``exec_policy``
+each needed external column subscribes at its ``fanout`` nearest
+owners.  Greedy's cancellation rule reads only the destination's
+integer watermark, which this skeleton keeps: a send whose destination
+is already past the pebble is cancelled at the source or at a relay
+hop, and each arrival counts as a raced win or loss.  The one racing
+check the dense tier leaves out is greedy's comparison of a losing
+replica's value with the winner's, because the skeleton moves no
+values; the greedy ↔ dense racing grid covers it.
+
+Multicast streams and scheduling jitter (``tie_seed``) exist only on
 :class:`~repro.core.executor.GreedyExecutor`, which callers construct
 directly.  Telemetry is supported on both tiers: an
 attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed
@@ -81,11 +88,12 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.checkpoint import ExecutorCheckpoint
+from repro.core.racing import resolve_policy
 from repro.delta import DeltaUnsupported
 from repro.machine.database import Database
 from repro.machine.guest import GuestArray
 from repro.machine.host import HostArray
-from repro.machine.mixing import mix2_v
+from repro.machine.mixing import FOLD_SEED, mix2_v
 from repro.machine.programs import Program
 from repro.netsim.faults import LOST
 from repro.netsim.links import check_bandwidth
@@ -94,12 +102,14 @@ from repro.netsim.stats import SimStats, latencies_from_completions
 #: Engine names accepted by the simulation front-ends.
 ENGINES = ("auto", "dense", "greedy")
 
-_FOLD_SEED = 0x243F6A8885A308D3  # fold_s seed (see repro.machine.mixing)
-
 #: Own-column count above which the ready scan switches to the numpy
 #: path (one vectorised pass over the watermark array).  Below it the
 #: scalar loop wins on constant factors.
 _VEC_MIN_COLS = 32
+
+#: ``stats.extras`` keys of a racing run (greedy's names), also carried
+#: in checkpoint ``counters`` so a resumed race ends on the same counts.
+_RACE_COUNTERS = ("cancelled_messages", "raced_wins", "raced_losses")
 
 # Bucket-event kinds (the greedy engine's).  Only a faulted run
 # schedules the last five.
@@ -112,45 +122,20 @@ _REQ = 5
 _WATCH = 6
 
 
-def resolve_engine(engine: str, *, exec_policy=None) -> str:
-    """Pick the execution tier for one simulation.
+def resolve_engine(engine: str) -> str:
+    """Validate an engine name and return the tier it selects.
 
-    ``auto`` selects ``dense`` exactly when the run needs none of the
-    greedy-only machinery; explicitly asking for ``dense`` with an
-    incompatible feature is an error (the caller asked for something
-    the dense tier cannot honour), while ``auto`` falls back silently.
-
-    Relabelled guests (``dep_map``/``col_label``, i.e. rings) are *not*
-    a fallback reason: the dense skeleton resolves arbitrary dependency
-    maps through the same watermark indices as the line adjacency.
-    Neither are fault plans: faulted runs take the segmented
-    :class:`~repro.core.dense_faults.FaultedDenseExecutor` tier (dense
-    between fault boundaries, bit-identical to greedy), and neither is an
-    attached telemetry timeline, which both tiers feed identically.  The
-    one fallback reason is redundant-issue racing (``exec_policy``):
-    raced subscriptions make delivery order value-dependent on which
-    replica wins, which the dense skeleton's single-stream watermarks
-    cannot express.  The *stealing* half of an
-    :class:`~repro.core.racing.ExecPolicy` never forces greedy — it is a
-    pre-execution assignment rebalance both tiers consume as-is.
+    ``auto`` and ``dense`` both select the dense tier, which runs every
+    configuration the front-ends accept: relabelled (ring) guests, fault
+    plans (the segmented
+    :class:`~repro.core.dense_faults.FaultedDenseExecutor`), attached
+    telemetry and every :class:`~repro.core.racing.ExecPolicy`.
+    ``greedy`` selects the event-driven engine, the oracle the dense
+    tier is tested against.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    if engine == "greedy":
-        return "greedy"
-    if exec_policy is None:
-        return "dense"
-    from repro.core.racing import resolve_policy
-
-    resolved = resolve_policy(exec_policy)
-    if not (resolved.racing and resolved.fanout > 1):
-        return "dense"
-    if engine == "dense":
-        raise ValueError(
-            "engine='dense' cannot honour redundant-issue racing; "
-            "use engine='auto' (falls back) or engine='greedy'"
-        )
-    return "greedy"
+    return "greedy" if engine == "greedy" else "dense"
 
 
 class DenseExecutor:
@@ -161,7 +146,9 @@ class DenseExecutor:
     relabelled guests — and :meth:`run` returns the same
     :class:`~repro.core.executor.ExecResult`.  This class runs the
     fault-free case; :class:`~repro.core.dense_faults.FaultedDenseExecutor`
-    adds a fault plan to the same loop.
+    adds a fault plan to the same loop.  ``exec_policy`` is greedy's:
+    with ``racing`` each external column subscribes at up to
+    ``fanout`` nearest owners (see the module docstring).
     """
 
     __slots__ = (
@@ -176,6 +163,9 @@ class DenseExecutor:
         "telemetry",
         "dep_map",
         "col_label",
+        "exec_policy",
+        "_racing",
+        "_raced",
         "_relabelled",
         "_ext_cols",
         "checkpoint_stride",
@@ -206,6 +196,7 @@ class DenseExecutor:
         col_label=None,
         telemetry=None,
         checkpoint_stride: int | None = None,
+        exec_policy=None,
     ) -> None:
         if assignment.n != host.n:
             raise ValueError(
@@ -252,6 +243,8 @@ class DenseExecutor:
         # it).  Filled by the timing loop.
         self.first_top_t: int | None = None
         self._resume_from = None
+        self.exec_policy = resolve_policy(exec_policy)
+        self._racing = self.exec_policy.racing and self.exec_policy.fanout > 1
         self._build_subscriptions()
 
     def restore(self, checkpoint) -> "DenseExecutor":
@@ -303,12 +296,15 @@ class DenseExecutor:
 
     def _build_subscriptions(self) -> None:
         """Same nearest-owner subscription rule (and list order) as
-        ``GreedyExecutor._build_state``."""
+        ``GreedyExecutor._build_state``, racing included: a raced
+        ``(p, c)`` subscribes at its ``fanout`` nearest owners."""
         m = self.m
         host = self.host
         owners = self.assignment.owners()
+        fanout = self.exec_policy.fanout if self._racing else 1
         subscribers: dict[tuple[int, int], list[int]] = {}
         ext_cols: dict[int, list[int]] = {}
+        self._raced = raced = set()
         for p in self.used:
             lo, hi = self.assignment.ranges[p]
             needed = sorted(
@@ -320,13 +316,19 @@ class DenseExecutor:
                 }
             )
             ext_cols[p] = needed
+
+            def key(q):
+                return (host.distance(p, q), abs(q - p), q)
+
             for c in needed:
                 candidates = owners[c]
-                q = min(
-                    candidates,
-                    key=lambda q: (host.distance(p, q), abs(q - p), q),
-                )
-                subscribers.setdefault((q, c), []).append(p)
+                if fanout > 1 and len(candidates) > 1:
+                    for q in sorted(candidates, key=key)[:fanout]:
+                        subscribers.setdefault((q, c), []).append(p)
+                    raced.add((p, c))
+                else:
+                    q = min(candidates, key=key)
+                    subscribers.setdefault((q, c), []).append(p)
         self.subscribers = subscribers
         self._ext_cols = ext_cols
 
@@ -415,7 +417,7 @@ class DenseExecutor:
             db_digests = mix2_v(
                 np.uint64(_DB_SEED), np.arange(1, m + 1, dtype=np.uint64)
             )
-            folds = np.full(m, np.uint64(_FOLD_SEED), dtype=np.uint64)
+            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
             for t in range(1, T + 1):
                 prev = grid[t - 1]
                 values, updates = prog.compute_row_vec(
@@ -465,7 +467,7 @@ class DenseExecutor:
             )
             states = prog.init_state_vec(m)[lab_idx]
             db_digests = mix2_v(np.uint64(_DB_SEED), lab_u)
-            folds = np.full(m, np.uint64(_FOLD_SEED), dtype=np.uint64)
+            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
             prev = np.array([initial_value(lb) for lb in labels], dtype=np.uint64)
             for t in range(1, T + 1):
                 values, updates = prog.compute_row_vec(
@@ -500,7 +502,7 @@ class DenseExecutor:
         deps = self._deps
         dbs = [Database(lb, prog.init_state(lb)) for lb in labels]
         row = [initial_value(lb) for lb in labels]
-        folds = [_FOLD_SEED] * m
+        folds = [FOLD_SEED] * m
         for t in range(1, T + 1):
             left_b = boundary_value(BOUNDARY_LEFT, t - 1)
             right_b = boundary_value(BOUNDARY_RIGHT, t - 1)
@@ -539,7 +541,9 @@ class DenseExecutor:
         and watchdog events, whose handlers live on
         :class:`~repro.core.dense_faults.FaultedDenseExecutor`; a
         zero-penalty ``_RESUME`` is the one push into the bucket being
-        iterated, which is exactly the heap's tie-break.
+        iterated, which is exactly the heap's tie-break.  A racing run
+        (:attr:`_racing`) applies greedy's cancellation rule at the
+        source and at each relay hop and counts raced wins and losses.
         """
         T = self.T
         bw = self.bandwidth
@@ -547,6 +551,7 @@ class DenseExecutor:
         tl = self.telemetry
         ck = self._resume_from
         faulty = self._faulty
+        racing = self._racing
         tables = self._fault_tables if faulty else None
         self._epoch = epoch = 0
         self._dead: set[int] = set()
@@ -565,6 +570,8 @@ class DenseExecutor:
          sl_of, sr_of, el_of, er_of, vec) = self._layout
         remaining = sum(k_of[p] for p in self.used) * T
         if not remaining:
+            if racing:
+                stats.extras.update(dict.fromkeys(_RACE_COUNTERS, 0))
             return 0
         if tl is not None:
             tl.meta.setdefault("engine", "dense")
@@ -577,6 +584,7 @@ class DenseExecutor:
 
         line = self.dep_map is None
         subscribers_get = self.subscribers.get
+        raced = self._raced
         # Directed-link occupancy: the LinkPipe slot rule's state as
         # flat integer lists per direction (busy-slot time, pebbles in
         # that slot).  Link j joins positions j, j+1.
@@ -596,6 +604,7 @@ class DenseExecutor:
         times: list[int] = []
         makespan = 0
         n_pebbles = n_messages = n_lost = n_retries = progress = 0
+        n_cancelled = n_wins = n_losses = 0
         first_top: int | None = None
         # Row-completion times (max over every epoch's replicas, the
         # greedy convention): step_done[t] = host step the last pebble
@@ -768,6 +777,9 @@ class DenseExecutor:
                         "crashed_nodes": stats.crashed_nodes,
                         "recoveries": stats.recoveries,
                         "columns_lost": stats.columns_lost,
+                        **dict(
+                            zip(_RACE_COUNTERS, (n_cancelled, n_wins, n_losses))
+                        ),
                     },
                     telemetry=None if tl is None else tl.snapshot(),
                     step_done=list(step_done),
@@ -798,6 +810,7 @@ class DenseExecutor:
                 self._adopt(self._reassign(ck.reassign_dead), ck.reassign_dead)
                 (W_of, busy, lo_of, k_of, ext_idx,
                  sl_of, sr_of, el_of, er_of, vec) = self._layout
+                raced = self._raced
             # Retry re-subscriptions mutate the provider lists in
             # place, so the snapshot's lists are authoritative over the
             # rebuilt ones.
@@ -823,7 +836,11 @@ class DenseExecutor:
             makespan = ck.makespan
             first_top = ck.first_top
             step_done[: len(ck.step_done)] = ck.step_done
-            for name, value in ck.counters.items():
+            counters = dict(ck.counters)
+            n_cancelled, n_wins, n_losses = (
+                counters.pop(name, 0) for name in _RACE_COUNTERS
+            )
+            for name, value in counters.items():
                 setattr(stats, name, value)
             # Re-base pending work onto this run's horizon: every used
             # column gained (T - ck.steps) rows relative to the capture.
@@ -888,7 +905,20 @@ class DenseExecutor:
                     if tl is not None:
                         tl.pebble(now, p, c, t)
                     subs = subscribers_get((p, c))
-                    if subs:
+                    if subs and racing:
+                        for dst in subs:
+                            if W_of[dst][ext_idx[dst][c]] >= t:
+                                # The race for (c, t) is over: cancel at
+                                # the source, taking no link slot.
+                                n_cancelled += 1
+                                if tl is not None:
+                                    tl.cancel(now)
+                                continue
+                            n_messages += 1
+                            if tl is not None:
+                                tl.message(now)
+                            hop(p, dst, c, t, now)
+                    elif subs:
                         n_messages += len(subs)
                         if tl is not None:
                             tl.message(now, len(subs))
@@ -905,6 +935,13 @@ class DenseExecutor:
                     if ep != epoch:
                         continue
                     if pos != dst:
+                        if racing and W_of[dst][ext_idx[dst][c]] >= t:
+                            # Cancelled in flight: the destination is
+                            # past this pebble, stop relaying it.
+                            n_cancelled += 1
+                            if tl is not None:
+                                tl.cancel(now)
+                            continue
                         hop(pos, dst, c, t, now)
                         continue
                     w = W_of[pos]
@@ -912,9 +949,14 @@ class DenseExecutor:
                     if t == w[wi] + 1:
                         w[wi] = t
                         progress += 1
+                        if racing and (pos, c) in raced:
+                            n_wins += 1
                         if tl is not None:
                             tl.deliver(now)
                         try_start(pos, now)
+                    elif racing and t <= w[wi]:
+                        # A losing replica's answer arrived end to end.
+                        n_losses += 1
                     elif not faulty:  # pragma: no cover - invariant guard
                         raise AssertionError(
                             f"out-of-order delivery of ({c},{t}) at "
@@ -931,6 +973,7 @@ class DenseExecutor:
                         (W_of, busy, lo_of, k_of, ext_idx,
                          sl_of, sr_of, el_of, er_of, vec) = self._layout
                         subscribers_get = self.subscribers.get
+                        raced = self._raced
                 elif kind == _RESUME:
                     if ev[1] != epoch:
                         continue
@@ -982,6 +1025,10 @@ class DenseExecutor:
             tl.spans.close_all(makespan)
         self.first_top_t = first_top
         stats.record_step_latency(latencies_from_completions(step_done))
+        if racing:
+            stats.extras.update(
+                zip(_RACE_COUNTERS, (n_cancelled, n_wins, n_losses))
+            )
         return makespan
 
     def _execute(self):
@@ -1045,12 +1092,11 @@ def build_executor(
 ):
     """Resolve the tier and construct the matching executor.
 
-    Racing (``exec_policy``) forces (or, under ``engine='auto'``,
-    silently selects) the greedy engine.  ``telemetry``,
-    ``dep_map``/``col_label`` and fault plans do not: both tiers support
-    an attached :class:`~repro.telemetry.timeline.MetricsTimeline` and
-    relabelled (ring) guests, and a non-empty ``faults`` plan on the
-    dense tier constructs the segmented
+    Both tiers take every keyword: an ``exec_policy`` (racing
+    included), an attached
+    :class:`~repro.telemetry.timeline.MetricsTimeline` and relabelled
+    (ring) guests.  A non-empty ``faults`` plan on the dense tier
+    constructs the segmented
     :class:`~repro.core.dense_faults.FaultedDenseExecutor`, which takes
     ``policy`` and ``reassign`` as the greedy engine does.
     ``checkpoint_stride`` reaches both dense tiers; the greedy engine
@@ -1059,7 +1105,7 @@ def build_executor(
     """
     from repro.core.executor import GreedyExecutor
 
-    if resolve_engine(engine, exec_policy=exec_policy) == "greedy":
+    if resolve_engine(engine) == "greedy":
         return GreedyExecutor(
             host, assignment, program, steps, bandwidth,
             dep_map=dep_map, col_label=col_label, faults=faults,
@@ -1071,6 +1117,7 @@ def build_executor(
         col_label=col_label,
         telemetry=telemetry,
         checkpoint_stride=checkpoint_stride,
+        exec_policy=exec_policy,
     )
     if faults is not None and not faults.is_empty:
         from repro.core.dense_faults import FaultedDenseExecutor

@@ -62,6 +62,7 @@ class FaultedDenseExecutor(DenseExecutor):
     mid-run reconfiguration hook).  ``dep_map`` guests are supported for
     link-level faults; node crashes require the standard array
     dependency structure, exactly like the greedy engine.
+    ``exec_policy`` races replicated columns as on the fault-free tier.
     """
 
     def __init__(
@@ -78,6 +79,7 @@ class FaultedDenseExecutor(DenseExecutor):
         policy=None,
         reassign=None,
         checkpoint_stride=None,
+        exec_policy=None,
     ) -> None:
         super().__init__(
             host,
@@ -89,6 +91,7 @@ class FaultedDenseExecutor(DenseExecutor):
             col_label=col_label,
             telemetry=telemetry,
             checkpoint_stride=checkpoint_stride,
+            exec_policy=exec_policy,
         )
         self.faults = faults
         self.policy = policy or RecoveryPolicy()
@@ -128,15 +131,18 @@ class FaultedDenseExecutor(DenseExecutor):
     def _init_streams(self, now: int, push) -> None:
         """One stall record ``[provider, attempts, retries,
         watermark at last check]`` and one pending ``_CHECK`` per
-        subscription stream."""
+        subscription stream.  A raced stream has several providers; its
+        record watches the nearest one, as the greedy engine's does."""
         ep = self._epoch
         W_of, _, _, _, ext_idx = self._layout[:5]
-        provider_of: dict[tuple[int, int], int] = {}
+        host = self.host
+        providers: dict[tuple[int, int], list[int]] = {}
         for (q, c), subs in self.subscribers.items():
             for p in subs:
-                provider_of[(p, c)] = q
+                providers.setdefault((p, c), []).append(q)
         self._streams = {}
-        for (p, c), q in sorted(provider_of.items()):
+        for (p, c), qs in sorted(providers.items()):
+            q = min(qs, key=lambda q: (host.distance(p, q), abs(q - p), q))
             self._streams[(p, c)] = [q, 0, 0, int(W_of[p][ext_idx[p][c]])]
             push(now + self._stream_timeout(p, q), (_CHECK, p, c, ep))
 

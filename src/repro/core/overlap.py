@@ -214,15 +214,13 @@ def simulate_overlap(
         ``min_copies=2`` explicitly so a single mid-run crash cannot
         destroy the last replica of an interval.
     engine:
-        Execution tier: ``"auto"`` (default) picks the dense tier —
-        the fault-free fast path, or the segmented
+        Execution tier: ``"auto"`` (default) and ``"dense"`` run the
+        dense tier — the fault-free fast path, or the segmented
         :class:`~repro.core.dense_faults.FaultedDenseExecutor` when a
-        non-empty fault plan is scripted — and falls back to the greedy
-        event-driven engine only for a racing ``policy``;
-        ``"dense"`` / ``"greedy"`` force a tier (``"dense"`` raises if
-        the config needs greedy-only machinery).  Both tiers produce
-        bit-identical results on any config ``auto`` would run densely,
-        fault plans and attached telemetry included.
+        non-empty fault plan is scripted — for every ``policy``,
+        racing included; ``"greedy"`` runs the event-driven reference
+        engine.  Both tiers produce bit-identical results, fault
+        plans, racing and attached telemetry included.
     telemetry:
         Optional :class:`~repro.telemetry.timeline.MetricsTimeline` to
         fill with per-step counters, one record per pebble, and fault
@@ -311,8 +309,7 @@ def simulate_overlap_on_graph(
     The embedding also precomputes every route delay into the induced
     array's flat ``link_delays``, so a fault-free graph-host run is an
     ordinary array workload: ``engine="auto"`` resolves it to the
-    dense tier (bit-identical to greedy), faulted or not; only
-    ``policy="racing"`` forces the event-driven engine.
+    dense tier (bit-identical to greedy), faulted, racing or neither.
     """
     embedding = embed_linear_array(host)
     array = embedding.host_array(name=f"embed({host.name})")

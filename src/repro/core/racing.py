@@ -12,9 +12,10 @@ Redundancy" and "A new analysis of Work Stealing with latency"
   answer wins (advances the watermark) and the losers are cancelled —
   at the source when the subscriber is already past the pebble, and at
   every relay hop otherwise, so abandoned messages stop consuming link
-  slots (:meth:`~repro.core.executor.GreedyExecutor.run` implements
-  the race; racing forces the greedy tier via
-  :func:`repro.core.dense.resolve_engine`).
+  slots.  Both tiers run the race: the dense tier
+  (:class:`~repro.core.dense.DenseExecutor`) replays the cancellation
+  rule of the reference engine
+  (:meth:`~repro.core.executor.GreedyExecutor.run`) bit for bit.
 * **stealing** — a deterministic, seeded pre-execution rebalance of
   the assignment: idle/underloaded hosts steal queued guest columns
   from overloaded or jitter-degraded neighbours

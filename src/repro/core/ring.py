@@ -28,7 +28,7 @@ from repro.core.verify import VerificationError
 from repro.lower_bounds.audit import windowed_assignment
 from repro.machine.guest import GuestRing, RingReferenceRun
 from repro.machine.host import HostArray
-from repro.machine.mixing import fold_s
+from repro.machine.mixing import fold_columns_v
 from repro.machine.programs import CounterProgram, Program
 
 
@@ -118,7 +118,7 @@ def simulate_ring(
     rejected on ring guests — recovery reassignment assumes the
     standard array dependency structure.  ``policy`` names the
     execution policy (see :data:`~repro.core.racing.POLICIES`:
-    ``racing`` races replicated columns on the greedy engine,
+    ``racing`` races replicated columns on either tier,
     ``stealing`` rebalances the assignment first).  ``telemetry`` (a
     :class:`~repro.telemetry.timeline.MetricsTimeline`) is supported on
     both tiers.
@@ -160,11 +160,11 @@ def verify_ring_execution(
 
     Raises :class:`~repro.core.verify.VerificationError` on the first
     mismatch, or naming the ring nodes no replica covers."""
-    ref_folds: dict[int, int] = {}
+    ref_folds = fold_columns_v(reference.values[1:]).tolist()
+    covered: set[int] = set()
     for (p, col), digest in result.value_digests.items():
         k = node_of_col[col]
-        if k not in ref_folds:
-            ref_folds[k] = fold_s(int(v) for v in reference.values[1:, k])
+        covered.add(k)
         if digest != ref_folds[k]:
             raise VerificationError(
                 f"ring node {k}: pebble values diverge at position {p}"
@@ -176,7 +176,7 @@ def verify_ring_execution(
             raise VerificationError(f"ring node {k}: update digest diverges")
         if program.state_digest(replica.state) != int(reference.state_digests[k]):
             raise VerificationError(f"ring node {k}: final state diverges")
-    missing = [k for k in range(result.assignment.m) if k not in ref_folds]
+    missing = [k for k in range(result.assignment.m) if k not in covered]
     if missing:
         raise VerificationError(f"ring nodes never verified: {missing[:10]}")
     return len(result.value_digests)

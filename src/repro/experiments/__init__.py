@@ -1,10 +1,11 @@
 """Experiment harness: one module per paper item (theorem or figure).
 
 Every experiment exposes ``run(quick: bool = True) -> ExperimentResult``
-returning printable rows plus a summary of the shape checks.  The
-benchmarks under ``benchmarks/`` wrap these with ``pytest-benchmark``;
-``python -m repro <id>`` runs them standalone; EXPERIMENTS.md records
-their output.
+returning printable rows plus a summary of the shape checks.
+``benchmarks/bench_claims.py`` gates them: one case per registered id
+runs it in quick mode, rewrites ``results/<id>.txt`` and asserts its
+shape checks.  ``python -m repro run <id>`` runs one standalone;
+EXPERIMENTS.md records their output.
 
 Experiment ids (see DESIGN.md section 4):
 
@@ -27,6 +28,17 @@ Experiment ids (see DESIGN.md section 4):
  f4    Figure 4 — trapezium phase accounting
  f5    Figure 5 — H2 level-k box census
  f6    Figure 6 — zigzag dependency path
+ a1    ablation — host bandwidth (the ``log n`` assumption)
+ a2    ablation — the constant ``c`` of killing and labelling
+ a3    ablation — dataflow vs database redundancy ([2])
+ a4    ablation — multicast boundary streams
+ r1    robustness — slowdown vs mid-run fault rate
+ w1    tail latency — execution policy vs link-jitter intensity
+ x1    Section 7 — open questions: delay variance, rings
+ x2    Section 5 — Theorem 8 in D dimensions
+ x3    calibration — measured constants of the bounds
+ x4    planner — block-factor recommendation vs measured
+ x5    delta — incremental re-simulation after one-knob edits
 =====  ==============================================================
 """
 

@@ -75,6 +75,16 @@ def _telemetry_dict(timeline):
     return d
 
 
+def _assert_same_run(result, oracle):
+    """Two ExecResults agree bit for bit: stats with extras, digests,
+    replicas."""
+    assert vars(result.stats) == vars(oracle.stats)
+    assert result.value_digests == oracle.value_digests
+    assert result.replicas.keys() == oracle.replicas.keys()
+    for key, rep in oracle.replicas.items():
+        assert result.replicas[key].summary() == rep.summary(), key
+
+
 def assert_bit_identical(
     host, assignment, program, steps, bandwidth=None, **kwargs
 ):
@@ -454,15 +464,28 @@ def test_resolve_engine_auto_prefers_dense():
 
 
 def test_resolve_engine_fallback_triggers():
-    # Since the segmented tier, faults/policy/forced_dead no longer
-    # force greedy, and a timeline is fed by both tiers — only
-    # redundant-issue racing remains.
-    assert resolve_engine("auto", exec_policy="racing") == "greedy"
+    # Faults, policies, forced_dead and timelines all run densely; racing,
+    # the last greedy-only feature, replays on the dense tier too.
+    host = _random_host(24, 3.0, 34)
+    auto = simulate_overlap(host, steps=8, min_copies=2, policy="racing")
+    greedy = simulate_overlap(
+        host, steps=8, min_copies=2, policy="racing", engine="greedy"
+    )
+    assert auto.engine == "dense"
+    _assert_same_run(auto.exec_result, greedy.exec_result)
 
 
 def test_resolve_engine_dense_refuses_greedy_features():
-    with pytest.raises(ValueError, match="racing"):
-        resolve_engine("dense", exec_policy="racing")
+    # engine="dense" honours racing: no greedy-only feature is left.
+    host = _random_host(16, 2.0, 35)
+    dense = simulate_overlap(
+        host, steps=6, min_copies=2, policy="racing", engine="dense"
+    )
+    greedy = simulate_overlap(
+        host, steps=6, min_copies=2, policy="racing", engine="greedy"
+    )
+    assert dense.engine == "dense"
+    _assert_same_run(dense.exec_result, greedy.exec_result)
     with pytest.raises(ValueError):
         resolve_engine("nope")
 
@@ -493,12 +516,14 @@ def test_build_executor_dispatch():
     assert isinstance(
         build_executor("greedy", host, assignment, prog, 4), GreedyExecutor
     )
-    assert isinstance(
-        build_executor(
-            "auto", host, assignment, prog, 4, exec_policy="racing"
-        ),
-        GreedyExecutor,
+    racing = build_executor(
+        "auto", host, assignment, prog, 4, exec_policy="racing"
     )
+    assert isinstance(racing, DenseExecutor)
+    oracle = build_executor(
+        "greedy", host, assignment, prog, 4, exec_policy="racing"
+    )
+    _assert_same_run(racing.run(), oracle.run())
 
 
 def test_dense_verifies_against_reference():

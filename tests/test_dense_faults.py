@@ -14,15 +14,19 @@ so keep them dependency-light and fast.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.assignment import assign_databases
+from repro.core.composed import simulate_composed
 from repro.core.dense import DenseExecutor, build_executor
 from repro.core.dense_faults import ExecutorCheckpoint, FaultedDenseExecutor
 from repro.core.executor import GreedyExecutor, SimulationDeadlock
 from repro.core.killing import kill_and_label
 from repro.core.overlap import simulate_overlap, simulate_overlap_on_graph
+from repro.core.ring import simulate_ring
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram, get_program
 from repro.netsim.faults import FaultPlan
@@ -268,8 +272,16 @@ def test_faulted_auto_resolves_dense():
         )
 
     assert isinstance(build(), FaultedDenseExecutor)
-    # Greedy-only machinery still wins over faults.
-    assert isinstance(build(exec_policy="racing"), GreedyExecutor)
+    # Racing stays on the faulted dense tier, equal to the greedy oracle.
+    racing = build(exec_policy="racing")
+    assert isinstance(racing, FaultedDenseExecutor)
+    oracle = build_executor(
+        "greedy", host, assignment, CounterProgram(), 8, faults=plan,
+        exec_policy="racing",
+    )
+    result, expected = racing.run(), oracle.run()
+    assert _stats_dict(result) == _stats_dict(expected)
+    assert result.value_digests == expected.value_digests
 
 
 def test_build_executor_faulted_dispatch():
@@ -406,3 +418,148 @@ def test_checkpoints_captured_at_boundaries():
     assert any(cp.label == "resume" for cp in ex.checkpoints)
     boundary_times = {cp.time for cp in ex.checkpoints}
     assert 10 in boundary_times or 25 in boundary_times or 40 in boundary_times
+
+
+# ---------------------------------------------------------------------------
+# racing: the dense tier replays greedy's race (fanout subscriptions,
+# cancellation at the source and at each relay hop, raced wins and
+# losses) bit for bit, clean and under every fault kind
+
+
+def _race_plan(kind: str, n: int, seed: int, crashes: bool = True):
+    rates = {
+        "clean": None,
+        "jitter": dict(jitter_rate=0.6),
+        "drops": dict(jitter_rate=0.6, drop_rate=0.3),
+        "mix": dict(
+            node_crash_rate=0.08 if crashes else 0.0,
+            link_outage_rate=0.10,
+            jitter_rate=0.20,
+            drop_rate=0.20,
+        ),
+    }[kind]
+    if rates is None:
+        return None
+    return FaultPlan.random(n, seed=seed, horizon=240, max_jitter=10, **rates)
+
+
+#: host -> (run(**kwargs), positions a fault plan addresses, crashes allowed)
+RACE_HOSTS = {
+    "line": (
+        lambda **kw: simulate_overlap(
+            _random_host(24, 3.0, 60), steps=12, min_copies=2, **kw
+        ),
+        24,
+        True,
+    ),
+    # link faults only: node crashes need the plain array adjacency
+    "ring": (
+        lambda **kw: simulate_ring(
+            _random_host(24, 3.0, 61), m=24, steps=12, copies=2, **kw
+        ),
+        24,
+        False,
+    ),
+    "composed": (
+        lambda **kw: simulate_composed(HostArray.uniform(24, 4), steps=8, **kw),
+        24,
+        True,
+    ),
+    "mesh": (
+        lambda **kw: simulate_overlap_on_graph(
+            mesh_host(4, 4, uniform_delays(24, np.random.default_rng(5), 1, 6)),
+            steps=12,
+            min_copies=2,
+            **kw,
+        ),
+        16,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("bw", [None, 1], ids=["bw-default", "bw-1"])
+@pytest.mark.parametrize("kind", ["clean", "jitter", "drops", "mix"])
+@pytest.mark.parametrize("policy", ["racing", "racing+stealing"])
+@pytest.mark.parametrize("host", sorted(RACE_HOSTS))
+def test_differential_racing(host, policy, kind, bw):
+    run, n, crashes = RACE_HOSTS[host]
+    plan = _race_plan(kind, n, seed=600 + n, crashes=crashes)
+    out_g, out_d = _run_both(
+        lambda eng, tl: run(
+            bandwidth=bw, faults=plan, policy=policy, engine=eng, telemetry=tl
+        )
+    )
+    if out_d is not None:
+        extras = out_d.exec_result.stats.extras
+        assert list(extras) == list(out_g.exec_result.stats.extras)
+        assert extras["raced_wins"] > 0
+        assert {"cancelled_messages", "raced_losses"} <= extras.keys()
+
+
+def test_racing_deadlock_diagnostics_agree():
+    # A permanent outage on a middle link cuts every raced replica off
+    # from the far side: both tiers deadlock with the same diagnostics.
+    host = HostArray.uniform(12, 2)
+    plan = FaultPlan().link_down(5, 2)
+
+    def run_one(eng, tl):
+        return simulate_overlap(
+            host,
+            steps=8,
+            min_copies=2,
+            faults=plan,
+            policy="racing",
+            engine=eng,
+            telemetry=tl,
+            verify=False,
+        )
+
+    out_g, out_d = _run_both(run_one)
+    assert out_g is None and out_d is None
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        None,
+        FaultPlan()
+        .crash(5, 20)
+        .link_down(3, 10, 6)
+        .jitter(7, 4, 12, 3)
+        .drop(10, 15),
+    ],
+    ids=["clean", "faulted"],
+)
+def test_racing_resume_every_checkpoint_bit_identical(plan):
+    """Every stride checkpoint of a racing run, JSON round-tripped and
+    resumed, ends equal to the full run, racing counters included."""
+
+    def run(resume_from=None, telemetry=None):
+        return simulate_overlap(
+            HostArray.uniform(16, delay=3),
+            steps=12,
+            min_copies=2,
+            faults=plan,
+            policy="racing",
+            telemetry=telemetry,
+            checkpoint_stride=8,
+            resume_from=resume_from,
+        )
+
+    tl = MetricsTimeline()
+    base = run(telemetry=tl)
+    extras = base.exec_result.stats.extras
+    assert extras["cancelled_messages"] and extras["raced_wins"]
+    assert extras["raced_losses"]
+    strides = [ck for ck in base.checkpoints if ck.label == "stride"]
+    assert len(strides) > 2
+    for ck in strides:
+        blob = json.loads(json.dumps(ck.to_json()))
+        tl2 = MetricsTimeline()
+        res = run(ExecutorCheckpoint.from_json(blob), telemetry=tl2)
+        assert _stats_dict(res.exec_result) == _stats_dict(base.exec_result), (
+            f"stats diverge from t={ck.time}"
+        )
+        assert res.exec_result.value_digests == base.exec_result.value_digests
+        assert _telemetry_dict(tl2) == _telemetry_dict(tl)

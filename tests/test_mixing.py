@@ -35,6 +35,17 @@ def test_fold_matches_incremental_mix2(values):
     assert mixing.fold_s(values) == acc
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 3), (1, 1), (7, 5), (24, 40)])
+def test_fold_columns_matches_fold_per_column(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    grid = rng.integers(0, 2**64, size=(rows, cols), dtype=np.uint64)
+    folds = mixing.fold_columns_v(grid)
+    assert folds.shape == (cols,)
+    assert folds.tolist() == [
+        mixing.fold_s(int(v) for v in grid[:, j]) for j in range(cols)
+    ]
+
+
 @given(WORD)
 def test_splitmix_in_range(x):
     y = mixing.splitmix_s(x)

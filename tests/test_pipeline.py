@@ -88,8 +88,11 @@ def test_policies_on_every_guest(guest, policy):
     assert _column_digests(res) == _column_digests(base)
     extras = res.exec_result.stats.extras
     if "racing" in policy:
-        assert res.engine == "greedy"
+        assert res.engine == "dense"
         assert extras["raced_wins"] > 0
+        oracle = _run(guest, policy=policy, engine="greedy")
+        assert vars(res.exec_result.stats) == vars(oracle.exec_result.stats)
+        assert res.exec_result.value_digests == oracle.exec_result.value_digests
     else:
         assert res.engine == "dense"
         assert "raced_wins" not in extras

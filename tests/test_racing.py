@@ -84,13 +84,18 @@ def test_recovery_policy_as_policy_raises():
 
 
 def test_racing_forces_greedy_dense_refuses():
+    # Racing runs on the dense tier, under auto and dense alike, and
+    # equals the greedy oracle.
     host = HostArray.uniform(12)
     res = simulate_overlap(host, steps=4, min_copies=2, policy="racing")
-    assert res.engine == "greedy"
-    with pytest.raises(ValueError, match="racing"):
-        simulate_overlap(
-            host, steps=4, min_copies=2, policy="racing", engine="dense"
+    assert res.engine == "dense"
+    for engine in ("dense", "greedy"):
+        other = simulate_overlap(
+            host, steps=4, min_copies=2, policy="racing", engine=engine
         )
+        assert other.engine == engine
+        assert vars(other.exec_result.stats) == vars(res.exec_result.stats)
+        assert other.exec_result.value_digests == res.exec_result.value_digests
 
 
 def test_racing_with_multicast_raises():
