@@ -23,9 +23,9 @@ Results go to ``BENCH_service.json`` (``--out`` to override)::
     PYTHONPATH=src python benchmarks/bench_service.py --smoke
 
 ``--smoke`` shrinks the simulated configs for CI and stamps
-``"smoke": true``.  The latency *ratio* and identity gates apply smoke
-or not (both sides of the ratio shrink together);
-``scripts/bench_compare.py`` re-checks them from the artifact.
+``"smoke": true``.  The script gates the numbers it has just measured
+and exits 1 on a miss; the latency *ratio* and identity gates apply
+smoke or not (both sides of the ratio shrink together).
 """
 
 from __future__ import annotations

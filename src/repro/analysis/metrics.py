@@ -64,12 +64,3 @@ def survival_fraction(m_surviving: int, m_initial: int) -> float:
             f"surviving guest {m_surviving} outside 0..{m_initial}"
         )
     return m_surviving / m_initial
-
-
-def availability(completed_runs: int, total_runs: int) -> float:
-    """Fraction of runs in a sweep that completed (vs. deadlocked)."""
-    if total_runs <= 0:
-        raise ValueError("total_runs must be positive")
-    if not 0 <= completed_runs <= total_runs:
-        raise ValueError("completed_runs outside 0..total_runs")
-    return completed_runs / total_runs

@@ -29,40 +29,15 @@ import pathlib
 import sys
 
 from repro import __version__
-from repro.experiments import get_experiment, list_experiments, run_experiment
+from repro.experiments import (
+    experiment_titles,
+    get_experiment,
+    list_experiments,
+    run_experiment,
+)
 from repro.machine.programs import list_programs
 from repro.runner import default_cache_dir
 from repro.topology.presets import PRESETS
-
-_TITLES = {
-    "e1": "Theorem 2  - OVERLAP slowdown O(d_ave log^3 n)",
-    "e2": "Theorem 3  - work-efficient blocked variant",
-    "e3": "Theorem 4  - sqrt(d) on uniform-delay hosts",
-    "e4": "Theorem 5  - composed sqrt(d_ave) polylog",
-    "e5": "Theorem 6  - general hosts + Sec.4 clique chain",
-    "e6": "Theorems 7-8 - 2-D guests on linear hosts",
-    "e7": "Theorem 9  - one-copy lower bound (H1)",
-    "e8": "Theorem 10 - two-copy lower bound (H2)",
-    "e9": "Section 1  - baselines vs OVERLAP crossover",
-    "e10": "Lemmas 1-4 - killing/labelling invariants",
-    "f1": "Figure 1   - pebble dependencies",
-    "f2": "Figure 2   - interval tree and kill pattern",
-    "f3": "Figure 3   - recursive box structure",
-    "f4": "Figure 4   - trapezium phase accounting",
-    "f5": "Figure 5   - H2 box census",
-    "f6": "Figure 6   - zigzag dependency path",
-    "a1": "Ablation   - host bandwidth (the log n assumption)",
-    "a2": "Ablation   - the constant c of killing/labelling",
-    "a3": "Ablation   - dataflow vs database redundancy",
-    "a4": "Ablation   - multicast boundary streams",
-    "r1": "Robustness - slowdown vs mid-run fault rate",
-    "w1": "Tail latency - execution policy vs link-jitter intensity",
-    "x1": "Section 7  - open questions: delay variance, rings",
-    "x2": "Section 5  - Theorem 8 in D dimensions",
-    "x3": "Calibration - measured constants of the bounds",
-    "x4": "Planner    - block-factor recommendation vs measured",
-    "x5": "Delta      - incremental re-simulation after one-knob edits",
-}
 
 
 def _positive_int(text: str) -> int:
@@ -75,8 +50,8 @@ def _positive_int(text: str) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("experiment index (paper item -> `repro run <id>`):")
-    for exp_id in list_experiments():
-        print(f"  {exp_id:<4} {_TITLES.get(exp_id, '')}")
+    for exp_id, title in experiment_titles().items():
+        print(f"  {exp_id:<4} {title}")
     return 0
 
 

@@ -44,6 +44,7 @@ Experiment ids (see DESIGN.md section 4):
 
 from repro.experiments.base import (
     ExperimentResult,
+    experiment_titles,
     get_experiment,
     list_experiments,
     run_experiment,
@@ -51,6 +52,7 @@ from repro.experiments.base import (
 
 __all__ = [
     "ExperimentResult",
+    "experiment_titles",
     "get_experiment",
     "list_experiments",
     "run_experiment",

@@ -9,14 +9,37 @@ from typing import Callable
 
 from repro.analysis.report import format_table
 
-_EXPERIMENT_IDS = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
-    "f1", "f2", "f3", "f4", "f5", "f6",
-    "a1", "a2", "a3", "a4",
-    "r1",
-    "w1",
-    "x1", "x2", "x3", "x4", "x5",
-]
+#: The experiment index, in ``repro list`` order: id -> title.  Each id
+#: names the module ``repro.experiments.<id>`` that implements it.
+_EXPERIMENTS = {
+    "e1": "Theorem 2  - OVERLAP slowdown O(d_ave log^3 n)",
+    "e2": "Theorem 3  - work-efficient blocked variant",
+    "e3": "Theorem 4  - sqrt(d) on uniform-delay hosts",
+    "e4": "Theorem 5  - composed sqrt(d_ave) polylog",
+    "e5": "Theorem 6  - general hosts + Sec.4 clique chain",
+    "e6": "Theorems 7-8 - 2-D guests on linear hosts",
+    "e7": "Theorem 9  - one-copy lower bound (H1)",
+    "e8": "Theorem 10 - two-copy lower bound (H2)",
+    "e9": "Section 1  - baselines vs OVERLAP crossover",
+    "e10": "Lemmas 1-4 - killing/labelling invariants",
+    "f1": "Figure 1   - pebble dependencies",
+    "f2": "Figure 2   - interval tree and kill pattern",
+    "f3": "Figure 3   - recursive box structure",
+    "f4": "Figure 4   - trapezium phase accounting",
+    "f5": "Figure 5   - H2 box census",
+    "f6": "Figure 6   - zigzag dependency path",
+    "a1": "Ablation   - host bandwidth (the log n assumption)",
+    "a2": "Ablation   - the constant c of killing/labelling",
+    "a3": "Ablation   - dataflow vs database redundancy",
+    "a4": "Ablation   - multicast boundary streams",
+    "r1": "Robustness - slowdown vs mid-run fault rate",
+    "w1": "Tail latency - execution policy vs link-jitter intensity",
+    "x1": "Section 7  - open questions: delay variance, rings",
+    "x2": "Section 5  - Theorem 8 in D dimensions",
+    "x3": "Calibration - measured constants of the bounds",
+    "x4": "Planner    - block-factor recommendation vs measured",
+    "x5": "Delta      - incremental re-simulation after one-knob edits",
+}
 
 
 @dataclass
@@ -68,14 +91,21 @@ class ExperimentResult:
 
 def list_experiments() -> list[str]:
     """All registered experiment ids."""
-    return list(_EXPERIMENT_IDS)
+    return list(_EXPERIMENTS)
+
+
+def experiment_titles() -> dict[str, str]:
+    """Every registered experiment id, in index order, with its title."""
+    return dict(_EXPERIMENTS)
 
 
 def get_experiment(exp_id: str) -> Callable[..., ExperimentResult]:
     """Resolve ``run`` for an experiment id (lazy import)."""
     exp_id = exp_id.lower()
-    if exp_id not in _EXPERIMENT_IDS:
-        raise KeyError(f"unknown experiment {exp_id!r}; known: {_EXPERIMENT_IDS}")
+    if exp_id not in _EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {exp_id!r}; known: {list_experiments()}"
+        )
     mod = importlib.import_module(f"repro.experiments.{exp_id}")
     return mod.run
 

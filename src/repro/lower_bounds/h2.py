@@ -154,19 +154,6 @@ class OverlapPattern:
     seg_j: Segment
 
 
-def _column_segments(h2: H2Host, assignment: Assignment) -> dict[int, set]:
-    """Map each column to the set of segments of its owners (None for
-    owners outside every segment)."""
-    out: dict[int, set] = {}
-    for c, ps in assignment.owners().items():
-        segs = set()
-        for p in ps:
-            seg = h2.segment_of(p)
-            segs.add((seg.level, seg.start) if seg else None)
-        out[c] = segs
-    return out
-
-
 def find_overlap_pattern(
     h2: H2Host, assignment: Assignment
 ) -> OverlapPattern | None:

@@ -211,43 +211,6 @@ class FaultTables:
         """
         return set(self._outages) | set(self._jitters) | set(self._drops)
 
-    def is_link_down(self, link: int, direction: int, t: int) -> bool:
-        """Whether ``(link, direction)`` is inside an outage window at
-        ``t``.
-
-        Unlike :meth:`link_outcome` this is a pure query — it never
-        consumes one-shot drops — so a caller may probe link health as
-        often as it likes without perturbing the scripted fault
-        sequence.
-        """
-        for t0, t1 in self._outages.get((link, direction), ()):
-            if t0 <= t < t1:
-                return True
-        return False
-
-    def extra_delay(self, link: int, direction: int, t: int) -> int:
-        """Jitter inflation for an injection at ``t`` (pure query).
-
-        Sums every jitter window covering ``t`` on ``(link,
-        direction)``; like :meth:`is_link_down` it never consumes
-        one-shot drops, so it is safe to probe repeatedly.  Windows are
-        half-open ``[t0, t1)``.
-        """
-        extra = 0
-        for t0, t1, e in self._jitters.get((link, direction), ()):
-            if t0 <= t < t1:
-                extra += e
-        return extra
-
-    def is_crashed(self, position: int, t: int) -> bool:
-        """Whether ``position`` has crashed at or before step ``t``.
-
-        Crash times are closed on the left: a node scripted to crash at
-        ``t0`` is dead for every ``t >= t0`` (crashes are permanent).
-        """
-        t0 = self.crash_times.get(position)
-        return t0 is not None and t >= t0
-
     def drops_consumed(self) -> list[list[int]]:
         """How many one-shot drops each directed link has eaten so far.
 

@@ -111,22 +111,6 @@ class SimStats:
             raise ValueError("guest_steps must be positive")
         return self.makespan / guest_steps
 
-    def tag_smoke(self, smoke: bool = True) -> "SimStats":
-        """Label these stats as coming from a smoke-sized run.
-
-        Throughput derived from a CI smoke grid is not comparable to
-        the full benchmark workload; the tag travels through
-        ``extras`` / :meth:`as_dict` so downstream tooling
-        (``scripts/bench_compare.py``) can skip absolute-throughput
-        checks on smoke artifacts instead of mistaking them for
-        regressions.  Returns ``self`` for chaining.
-        """
-        if smoke:
-            self.extras["smoke"] = True
-        else:
-            self.extras.pop("smoke", None)
-        return self
-
     def record_step_latency(self, samples) -> "SimStats":
         """Attach the per-step latency distribution of this run.
 

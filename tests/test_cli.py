@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import list_experiments
 
 
 def test_list(capsys):
@@ -10,6 +11,13 @@ def test_list(capsys):
     out = capsys.readouterr().out
     assert "e1" in out and "f6" in out
     assert "Theorem 2" in out
+
+
+def test_list_titles_every_registered_id(capsys):
+    assert main(["list"]) == 0
+    rows = [line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list_experiments()
+    assert all(len(row) == 2 for row in rows), rows
 
 
 def test_info(capsys):

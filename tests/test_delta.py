@@ -16,9 +16,9 @@ Three layers, matching the delta stack:
   replay must produce exactly the rows a delta-disabled runner
   computes from scratch, with zero silent fallbacks.
 
-The CI bench-compare gate refuses runs where these tests were skipped,
-so keep them dependency-light and fast (the hypothesis property suite
-lives in ``tests/test_delta_props.py``).
+The CI ``tests`` job fails when any test is skipped, so keep these
+dependency-light and fast (the hypothesis property suite lives in
+``tests/test_delta_props.py``).
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 round-trip -> restore is bit-identical to the uninterrupted run, for
 random hosts, horizons, strides and fault plans.
 
-These live apart from ``tests/test_delta.py`` because the CI
-bench-smoke job runs that file without hypothesis installed (its
-zero-skip differential gate would otherwise trip on the import).
+``tests/test_delta.py`` holds the fixed-grid differential suite for
+the same contract.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ versions), value digests and replica digests — across configs spanning
 the e1 (random-delay OVERLAP), e3 (uniform-delay Theorem 4) and e5
 (graph-embedded Theorem 6) parameter grids.
 
-The CI bench-compare gate refuses runs where these tests were skipped,
-so keep them dependency-light and fast.
+The CI ``tests`` job fails when any test is skipped, so keep these
+dependency-light and fast.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ tests compare *everything* a faulted run produces — stats, value
 digests, replicas, telemetry timelines, and (for runs that cannot
 finish) the deadlock diagnostics — across line, ring and graph hosts.
 
-The CI bench-compare gate refuses runs where these tests were skipped,
-so keep them dependency-light and fast.
+The CI ``tests`` job fails when any test is skipped, so keep these
+dependency-light and fast.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Property tests pinning the half-open ``[t0, t1)`` fault-window
-convention across every :class:`~repro.netsim.faults.FaultTables`
-query.
+convention of the compiled :class:`~repro.netsim.faults.FaultTables`,
+on what the executors read: ``link_outcome``, ``crash_times`` and
+``boundaries``.
 
 Outage and jitter windows are closed on the left and open on the
 right: an event scripted at ``t0`` with duration ``w`` affects
@@ -39,7 +40,7 @@ def _compile(plan: FaultPlan):
 
 
 # ---------------------------------------------------------------------------
-# outage windows: is_link_down and link_outcome agree on [t0, t1)
+# outage windows: link_outcome is LOST exactly on [t0, t1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,12 +52,11 @@ def test_outage_window_half_open(link, d, t0, w):
     for t, inside in probes.items():
         if t < 0:
             continue
-        assert tables.is_link_down(link, d, t) is inside, (t, inside)
-        # link_outcome agrees (pure here: no drops to consume).
+        # Pure here: the plan scripts no drops to consume.
         outcome = tables.link_outcome(link, d, t)
         assert (outcome is LOST) == inside, (t, inside)
     # The opposite direction is never affected.
-    assert not tables.is_link_down(link, -d, t0)
+    assert tables.link_outcome(link, -d, t0) == 0
     # Window edges are exactly the segment boundaries.
     assert set(tables.boundaries()) == {t0, t1}
 
@@ -66,14 +66,15 @@ def test_outage_window_half_open(link, d, t0, w):
 def test_permanent_outage_closed_left(link, t0):
     tables = _compile(FaultPlan().link_down(link, t0))
     if t0 > 0:
-        assert not tables.is_link_down(link, 1, t0 - 1)
+        assert tables.link_outcome(link, 1, t0 - 1) == 0
     for t in (t0, t0 + 1, t0 + 10_000):
-        assert tables.is_link_down(link, 1, t)
-        assert tables.is_link_down(link, -1, t)  # direction=None: both
+        assert tables.link_outcome(link, 1, t) is LOST
+        assert tables.link_outcome(link, -1, t) is LOST  # direction=None: both
 
 
 # ---------------------------------------------------------------------------
-# jitter windows: extra_delay is [t0, t1) and additive across overlaps
+# jitter windows: link_outcome's extra delay is [t0, t1) and additive
+# across overlaps
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,9 +86,8 @@ def test_jitter_window_half_open(link, d, t0, w, e):
     for t, want in probes.items():
         if t < 0:
             continue
-        assert tables.extra_delay(link, d, t) == want, (t, want)
         assert tables.link_outcome(link, d, t) == want, (t, want)
-    assert tables.extra_delay(link, -d, t0) == 0
+    assert tables.link_outcome(link, -d, t0) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,22 +107,22 @@ def test_jitter_overlap_sums(link, t0, w1, w2, e1, e2, gap):
     tables = _compile(plan)
     for t in (t0, s2, t0 + w1 - 1, s2 + w2 - 1, t0 + w1, s2 + w2):
         want = (e1 if t0 <= t < t0 + w1 else 0) + (e2 if s2 <= t < s2 + w2 else 0)
-        assert tables.extra_delay(link, 1, t) == want, t
+        assert tables.link_outcome(link, 1, t) == want, t
 
 
 # ---------------------------------------------------------------------------
-# crashes: closed-left, permanent
+# crashes: one permanent crash time per node, the earliest scripted
 
 
 @settings(max_examples=40, deadline=None)
-@given(pos=st.integers(min_value=0, max_value=N - 1), t0=_times)
-def test_crash_closed_left_permanent(pos, t0):
-    tables = _compile(FaultPlan().crash(pos, t0))
-    if t0 > 0:
-        assert not tables.is_crashed(pos, t0 - 1)
-    for t in (t0, t0 + 1, t0 + 10_000):
-        assert tables.is_crashed(pos, t)
-    assert not tables.is_crashed((pos + 1) % N, t0 + 10_000)
+@given(
+    pos=st.integers(min_value=0, max_value=N - 1),
+    t0=_times,
+    later=st.integers(min_value=0, max_value=20),
+)
+def test_crash_closed_left_permanent(pos, t0, later):
+    tables = _compile(FaultPlan().crash(pos, t0 + later).crash(pos, t0))
+    assert tables.crash_times == {pos: t0}
     assert tables.boundaries() == [t0]
 
 
@@ -137,9 +137,6 @@ def test_drop_one_shot_at_or_after(link, d, t0, late):
     if t0 > 0:
         # Probing before the arm time neither loses nor consumes.
         assert tables.link_outcome(link, d, t0 - 1) == 0
-    # Pure queries never consume the drop.
-    assert not tables.is_link_down(link, d, t0)
-    assert tables.extra_delay(link, d, t0) == 0
     # First injection at/after t0 eats it; the next one sails through.
     assert tables.link_outcome(link, d, t0 + late) is LOST
     assert tables.link_outcome(link, d, t0 + late) == 0

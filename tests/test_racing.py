@@ -1,11 +1,9 @@
 """Execution policies: redundant-issue racing and work stealing.
 
-Differential suite (no hypothesis import — the bench-smoke zero-skip
-gate runs this file alongside tests/test_dense*.py): racing and
-stealing may only ever change *when* pebbles complete, never their
-values, so every policy run here is checked digest-identical to the
-single-issue ground truth.  The seeded-grid property tests live in
-``tests/test_racing_props.py``.
+Differential suite: racing and stealing may only ever change *when*
+pebbles complete, never their values, so every policy run here is
+checked digest-identical to the single-issue ground truth.  The
+seeded-grid property tests live in ``tests/test_racing_props.py``.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ seeded jitter plans produce bit-identical winner selections, digests
 and stats — and both stay digest-identical to the single-issue ground
 truth on every drawn plan.
 
-These live apart from ``tests/test_racing.py`` because the CI
-bench-smoke job runs that file without hypothesis installed (its
-zero-skip differential gate would otherwise trip on the import).
+``tests/test_racing.py`` holds the fixed-grid differential suite for
+the same contract.
 """
 
 from __future__ import annotations
