@@ -10,9 +10,10 @@ monotone arrival clamp, consumed one-shot drops, and every counter.
 
 The dense tier has one timing loop and one capture path, so every
 checkpoint carries the same fields; a fault-free run is the
-zero-boundary case and leaves the fault state empty.  Captures happen
+zero-boundary case and leaves the fault state empty.  Only a run given
+a ``checkpoint_stride`` captures anything; with one, captures happen
 
-* on a fixed time stride (``checkpoint_stride``), on every run;
+* on that fixed time stride, on every run;
 * at every fault boundary crossed and at each epoch resume, on a
   :class:`~repro.core.dense_faults.FaultedDenseExecutor` run.
 
@@ -129,20 +130,6 @@ class ExecutorCheckpoint:
     #: ``t``'s last pebble finished, 0 if not yet) — the per-step
     #: latency prefix a resume must inherit.
     step_done: list = field(default_factory=list)
-
-    def summary(self) -> dict:
-        """Headline numbers (JSON-ready; arrays omitted)."""
-        return {
-            "time": self.time,
-            "epoch": self.epoch,
-            "label": self.label,
-            "remaining": self.remaining,
-            "pebbles": self.pebbles,
-            "messages": self.messages,
-            "lost_messages": self.lost_messages,
-            "retries": self.retries,
-            "dead": sorted(self.dead),
-        }
 
     # -- JSON round-trip -------------------------------------------------
     def to_json(self) -> dict:

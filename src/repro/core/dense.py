@@ -41,13 +41,18 @@ the value payloads, and a fault plan acts on the control side alone.
 into boundary times (crashes, outage/jitter window edges, drop arm
 times); the same loop then also schedules crash, stream-check and
 watchdog events, consults the fault tables on faulty directed links,
-snapshots its state at every boundary, and hands the fault events to
-the subclass's recovery handlers.  A fault-free run is the
-zero-boundary case: none of those events is ever scheduled, and the
-loop keeps the greedy engine's fault-free conventions — every in-flight
-relay runs to its destination, an out-of-order delivery raises
-``AssertionError``, telemetry stamps a send at its link slot, and
-checkpoints have kind ``"dense"``.
+and hands the fault events to the subclass's recovery handlers.  A
+fault-free run is the zero-boundary case: none of those events is ever
+scheduled, and the loop keeps the greedy engine's fault-free
+conventions — every in-flight relay runs to its destination, an
+out-of-order delivery raises ``AssertionError``, telemetry stamps a
+send at its link slot, and checkpoints have kind ``"dense"``.
+
+**Only a stride captures.**  ``checkpoint_stride`` is the one switch
+for snapshots on both tiers.  With it set, the loop captures at every
+stride mark and, on a faulted run, also at every fault boundary and
+after each epoch resume.  Without it the loop captures nothing, so a
+faulted run copies no state it would throw away.
 
 Because the skeleton replays the exact event order, the result is
 **bit-identical** to the greedy engine: same makespan, same per-replica
@@ -234,7 +239,8 @@ class DenseExecutor:
             raise ValueError("checkpoint_stride must be >= 1")
         # Periodic full snapshots of the timing skeleton: one
         # ExecutorCheckpoint each time the loop clock crosses a stride
-        # mark.  None = no captures (zero overhead on the hot path).
+        # mark (plus fault-boundary and resume captures on a faulted
+        # run).  None = no captures at all.
         self.checkpoint_stride = checkpoint_stride
         self.checkpoints: list = []
         # First host step at which any position's *own* watermark
@@ -786,7 +792,11 @@ class DenseExecutor:
                 )
             )
 
-        boundaries = tables.boundaries() if faulty else []
+        # No stride, no capture of any kind (see the module docstring).
+        stride = self.checkpoint_stride
+        boundaries = (
+            tables.boundaries() if faulty and stride is not None else []
+        )
         if ck is None:
             # Setup pushes in the greedy engine's sequence order:
             # scripted crashes (sorted by position), initial computes
@@ -862,7 +872,6 @@ class DenseExecutor:
             b_idx = bisect_right(boundaries, ck.time)
         n_bounds = len(boundaries)
 
-        stride = self.checkpoint_stride
         start = 0 if ck is None else ck.time
         next_mark = None if stride is None else stride * (start // stride + 1)
         pending_resume = False
@@ -978,7 +987,7 @@ class DenseExecutor:
                     if ev[1] != epoch:
                         continue
                     self._resume(now, push, try_start)
-                    pending_resume = True
+                    pending_resume = stride is not None
                 elif kind == _CHECK:
                     self._check_stream(ev[1], ev[2], ev[3], now, push)
                 elif kind == _REQ:

@@ -10,10 +10,11 @@ the fault environment is time-invariant, so the loop replays the run
 with the same machinery as a fault-free one — watermark arrays,
 heap-keyed event buckets, the flat-integer link-slot rule, values
 decoupled from timing.  Faults only add to the control side: the loop
-schedules crash, stream-check and watchdog events, consults the fault
-tables on faulty directed links, and snapshots its complete integer
+schedules crash, stream-check and watchdog events and consults the
+fault tables on faulty directed links.  When the caller sets a
+``checkpoint_stride``, the loop also snapshots its complete integer
 state as a reusable :class:`ExecutorCheckpoint` at every boundary
-crossed and at each epoch resume.
+crossed and at each epoch resume; without one it captures nothing.
 
 This module keeps only what is specific to faults: plan compilation,
 the recovery policy (stall detection, retries, the watchdog window),

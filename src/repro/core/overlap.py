@@ -229,10 +229,11 @@ def simulate_overlap(
         returned on :attr:`OverlapResult.telemetry`.
     checkpoint_stride:
         When set, the dense tiers snapshot the full executor state
-        every ``checkpoint_stride`` host steps (see
+        every ``checkpoint_stride`` host steps, and a faulted run also
+        at every fault boundary and epoch resume (see
         :mod:`repro.core.checkpoint`); the captures land on
-        :attr:`OverlapResult.checkpoints`.  Ignored by the greedy
-        engine.
+        :attr:`OverlapResult.checkpoints`.  When unset, no run captures
+        anything, faulted runs included.  Ignored by the greedy engine.
     resume_from:
         An :class:`~repro.core.checkpoint.ExecutorCheckpoint` to
         restore before running: the executor replays only the suffix

@@ -35,7 +35,9 @@ class PipelineRun:
     ``assignment`` is the initial one, after stealing
     (``exec_result.assignment`` is the one the run finished on, smaller
     after a crash).  ``checkpoints`` and ``first_top_t`` come from the
-    dense tiers (``[]`` and ``None`` on the greedy engine).
+    dense tiers (``[]`` and ``None`` on the greedy engine);
+    ``checkpoints`` is also ``[]`` when no ``checkpoint_stride`` was
+    given.
     """
 
     exec_result: ExecResult

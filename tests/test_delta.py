@@ -27,6 +27,7 @@ import base64
 import json
 import math
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +79,9 @@ def _faulted_config() -> dict:
     return base_config(n=16, steps=8)
 
 
-def _run_faulted(cfg: dict, resume_from=None, stride=8, telemetry=None):
+def _run_faulted(
+    cfg: dict, resume_from=None, stride=8, telemetry=None, policy=None
+):
     return simulate_overlap(
         HostArray.uniform(cfg["n"]),
         steps=cfg["steps"],
@@ -89,11 +92,13 @@ def _run_faulted(cfg: dict, resume_from=None, stride=8, telemetry=None):
         telemetry=telemetry,
         checkpoint_stride=stride,
         resume_from=resume_from,
+        policy=policy,
     )
 
 
 # Restore inputs: ``run(telemetry=None, resume_from=None)`` callables
-# returning an object with ``exec_result`` and ``checkpoints``.
+# returning an object with ``exec_result`` and ``checkpoints``.  The
+# faulted ones also take ``stride`` (default 8; None captures nothing).
 
 
 def _line(telemetry=None, resume_from=None):
@@ -107,9 +112,13 @@ def _line(telemetry=None, resume_from=None):
     )
 
 
-def _faulted_line(telemetry=None, resume_from=None):
+def _faulted_line(telemetry=None, resume_from=None, stride=8, policy=None):
     return _run_faulted(
-        _faulted_config(), resume_from=resume_from, telemetry=telemetry
+        _faulted_config(),
+        resume_from=resume_from,
+        stride=stride,
+        telemetry=telemetry,
+        policy=policy,
     )
 
 
@@ -121,12 +130,12 @@ def _ring(faults=None):
     dep_map, node_of_col = ring_dep_map(16)
     assignment = windowed_assignment(16, 16, copies=2)
 
-    def run(telemetry=None, resume_from=None):
+    def run(telemetry=None, resume_from=None, stride=8):
         kwargs = dict(
             dep_map=dep_map,
             col_label=lambda c: node_of_col[c] + 1,
             telemetry=telemetry,
-            checkpoint_stride=8,
+            checkpoint_stride=stride,
         )
         if faults is None:
             ex = DenseExecutor(host, assignment, CounterProgram(), 8, **kwargs)
@@ -145,14 +154,14 @@ def _mesh(faults=None):
     """A 4x4 mesh embedded by ``simulate_overlap_on_graph``."""
     host = mesh_host(4, 4, uniform_delays(24, np.random.default_rng(5), 1, 6))
 
-    def run(telemetry=None, resume_from=None):
+    def run(telemetry=None, resume_from=None, stride=8):
         return simulate_overlap_on_graph(
             host,
             steps=8,
             min_copies=2,
             faults=faults,
             telemetry=telemetry,
-            checkpoint_stride=8,
+            checkpoint_stride=stride,
             resume_from=resume_from,
         )
 
@@ -306,6 +315,28 @@ def test_fault_free_runs_capture_stride_checkpoints():
     # No stride -> no capture overhead, no checkpoints.
     bare = simulate_overlap(host, steps=8, engine="dense")
     assert bare.checkpoints == []
+
+
+@pytest.mark.parametrize("case", [*FAULTED_RESTORE_CASES, "racing-line"])
+def test_faulted_runs_capture_only_with_a_stride(case):
+    """A faulted run given no stride captures nothing, not even at its
+    fault boundaries or resumes, and ends exactly as the strided run."""
+    if case == "racing-line":
+        run = partial(_faulted_line, policy="racing")
+    else:
+        run = FAULTED_RESTORE_CASES[case]
+    tl, bare_tl = MetricsTimeline(), MetricsTimeline()
+    strided = run(telemetry=tl)
+    bare = run(telemetry=bare_tl, stride=None)
+    assert strided.checkpoints
+    assert bare.checkpoints == []
+    if case == "racing-line":
+        assert strided.exec_result.stats.extras["raced_wins"] > 0
+    assert _stats(bare) == _stats(strided)
+    assert bare.exec_result.value_digests == strided.exec_result.value_digests
+    assert bare.exec_result.replicas == strided.exec_result.replicas
+    assert bare_tl.as_dict() == tl.as_dict()
+    assert bare_tl.records == tl.records
 
 
 # ---------------------------------------------------------------------------

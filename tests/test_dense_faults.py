@@ -391,8 +391,9 @@ def test_noop_plan_still_validates_targets():
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: the segmented executor snapshots state at every fault
-# boundary (the reusable hook for incremental re-simulation)
+# checkpoints: given a stride, the segmented executor also snapshots
+# state at every fault boundary (the reusable hook for incremental
+# re-simulation)
 
 
 def test_checkpoints_captured_at_boundaries():
@@ -400,8 +401,10 @@ def test_checkpoints_captured_at_boundaries():
     killing = kill_and_label(host, 4.0)
     assignment = assign_databases(killing, 1, min_copies=2)
     plan = FaultPlan().crash(5, 40).link_down(3, 10, 15)
+    # A stride longer than the run: only boundary and resume captures.
     ex = FaultedDenseExecutor(
-        host, assignment, CounterProgram(), 64, faults=plan
+        host, assignment, CounterProgram(), 64, faults=plan,
+        checkpoint_stride=10**6,
     )
     result = ex.run()
     assert result.stats.makespan > 0
@@ -409,9 +412,8 @@ def test_checkpoints_captured_at_boundaries():
     for cp in ex.checkpoints:
         assert isinstance(cp, ExecutorCheckpoint)
         assert cp.label in ("fault-boundary", "resume")
-        summary = cp.summary()
-        assert summary["time"] == cp.time
-        assert summary["remaining"] >= 0
+        assert 0 <= cp.time <= result.stats.makespan
+        assert cp.remaining >= 0
     times = [cp.time for cp in ex.checkpoints]
     assert times == sorted(times)
     # The crash boundary and the post-recovery resume are both present.

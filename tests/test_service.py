@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 import time
 
 import pytest
@@ -510,6 +512,51 @@ def test_tcp_non_object_request_keeps_connection(tmp_path):
         await server.wait_closed()
 
     asyncio.run(main())
+
+
+def test_tcp_client_disconnect_mid_request(tmp_path):
+    """A client that resets its connection after ``accepted`` leaves
+    nothing behind: its request settles in the ledger, a second
+    connection asking for the same config is served, and no handler
+    error reaches the event loop."""
+    errors: list = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        svc = _service(tmp_path)
+        server = await start_server(svc, port=0)
+        port = server.sockets[0].getsockname()[1]
+        config = {"n": 48, "steps": 8}
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        gone = {"id": "gone", "task": "overlap_point", "config": config, "stream": True}
+        writer.write((_dump(gone) + "\n").encode())
+        await writer.drain()
+        first = json.loads(await asyncio.wait_for(reader.readline(), timeout=30))
+        assert first["event"] == "accepted"
+        # Hang up with a reset, not a FIN, so the server's next write fails.
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        writer.close()
+        await writer.wait_closed()
+        events = await request(
+            "127.0.0.1", port, {"id": "again", "task": "overlap_point", "config": config}
+        )
+        assert events[-1]["event"] == "done"
+        assert events[-1]["id"] == "again"
+        for _ in range(500):
+            if not svc._inflight and svc._admitted == 0:
+                break
+            await asyncio.sleep(0.01)
+        totals = svc.metrics.reconcile(svc.runner.profile)
+        assert totals["requests"] == 2
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(main())
+    assert errors == []
 
 
 def teardown_module(_module) -> None:
