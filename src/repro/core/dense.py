@@ -19,17 +19,22 @@ greedy ``(t, column)`` scheduling rule, same pipelined-link timing model
   in append order replays the greedy heap's ``(time, seq)`` order
   exactly — no per-event tuple comparisons, no ``Event`` allocation,
   and no walk over empty stretches of time.
+* **one guest wiring: the dependency map.**  A guest is its map from
+  column ``c`` to the two lateral sources ``_deps(c)``.  A line is the
+  case ``(c - 1, c + 1)``, whose sources ``0`` and ``m + 1`` are the
+  array boundaries; a folded ring is a relabelled ``dep_map`` whose
+  sources stay inside ``1..m``.  Both the timing loop and the value
+  pass read the guest through this map alone.
 * **array-shaped per-processor state.**  Each position keeps one flat
   *watermark array* ``W``: its own columns' completed rows first, then
   one slot per subscribed external column, then a virtual slot pinned
-  to ``T`` for the array boundaries.  Column ``i``'s two lateral
-  sources are precomputed indices ``sl[i]``/``sr[i]`` into ``W`` — the
-  line adjacency and a relabelled-guest ``dep_map`` (rings) become the
-  *same* ready check, ``W[sl[i]] >= W[i] <= W[sr[i]]``.  Wide positions
-  (``k >= _VEC_MIN_COLS`` own columns) scan for the greedy pick with
-  one vectorised numpy pass instead of a Python loop; ``argmin`` over
-  the masked watermarks reproduces the scalar ``(t, column)``
-  tie-breaking exactly.
+  to ``T`` that the boundary sources read.  Column ``i``'s two lateral
+  sources are precomputed indices ``sl[i]``/``sr[i]`` into ``W``, so
+  every guest has the one ready check ``W[sl[i]] >= W[i] <= W[sr[i]]``.
+  Wide positions (``k >= _VEC_MIN_COLS`` own columns) scan for the
+  greedy pick with one vectorised numpy pass instead of a Python loop;
+  ``argmin`` over the masked watermarks reproduces the scalar
+  ``(t, column)`` tie-breaking exactly.
 * **flat link state.**  Each directed link is two integers (current
   slot, pebbles in that slot) in preallocated lists, and one ``hop``
   applies the :class:`~repro.netsim.links.LinkPipe` slot rule to them
@@ -96,9 +101,15 @@ from repro.core.checkpoint import ExecutorCheckpoint
 from repro.core.racing import resolve_policy
 from repro.delta import DeltaUnsupported
 from repro.machine.database import Database
-from repro.machine.guest import GuestArray
+from repro.machine.guest import _DB_SEED
 from repro.machine.host import HostArray
-from repro.machine.mixing import FOLD_SEED, mix2_v
+from repro.machine.mixing import FOLD_SEED, mix2_s, mix2_v
+from repro.machine.pebbles import (
+    BOUNDARY_LEFT,
+    BOUNDARY_RIGHT,
+    boundary_value,
+    initial_value,
+)
 from repro.machine.programs import Program
 from repro.netsim.faults import LOST
 from repro.netsim.links import check_bandwidth
@@ -171,7 +182,6 @@ class DenseExecutor:
         "exec_policy",
         "_racing",
         "_raced",
-        "_relabelled",
         "_ext_cols",
         "checkpoint_stride",
         "checkpoints",
@@ -223,7 +233,6 @@ class DenseExecutor:
         self.used = assignment.used_positions()
         self.dep_map = dep_map
         self.col_label = col_label or (lambda c: c)
-        self._relabelled = dep_map is not None or col_label is not None
         if dep_map is not None:
             for c in range(1, self.m + 1):
                 if c not in dep_map:
@@ -295,7 +304,9 @@ class DenseExecutor:
         return self
 
     def _deps(self, c: int) -> tuple[int, int]:
-        """Lateral source columns of ``c`` (left-like, right-like)."""
+        """Lateral source columns of ``c`` (left-like, right-like): the
+        ``dep_map`` entry, else a line's ``c - 1``/``c + 1``, where
+        ``0`` and ``m + 1`` are the boundary sources."""
         if self.dep_map is None:
             return (c - 1, c + 1)
         return self.dep_map[c]
@@ -343,27 +354,24 @@ class DenseExecutor:
         assignment into ``self._layout``.
 
         The tuple is ``(W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of,
-        el_of, er_of, vec)``, each indexed by host position.  ``W_of[p]``
-        lays out the k own columns' completed rows, then one watermark
-        per subscribed external column (sorted; ``ext_idx[p]`` maps a
-        column to its slot), then a virtual slot pinned to ``T`` for
-        the array boundaries.  ``sl_of``/``sr_of[p][i]`` index the two
-        lateral sources of own column i into that same array, so line
-        adjacency and dep_map wiring share one ready check; the line
-        fast path reads only ``el_of``/``er_of``, the slots of the
-        left/right external columns (or the virtual slot).  Positions
-        with ``vec[p]`` hold numpy arrays for the vectorised scan.
+        vec)``, each indexed by host position.  ``W_of[p]`` lays out the
+        k own columns' completed rows, then one watermark per subscribed
+        external column (sorted; ``ext_idx[p]`` maps a column to its
+        slot), then a virtual slot pinned to ``T`` for the boundary
+        sources ``0``/``m + 1`` of a line.  ``sl_of``/``sr_of[p][i]``
+        index the two ``_deps`` sources of own column i into that same
+        array, which is the whole of a guest's wiring as the ready scan
+        sees it.  Positions with ``vec[p]`` hold numpy arrays for the
+        vectorised scan.
         """
         T = self.T
         n = self.host.n
-        dep_map = self.dep_map
+        deps = self._deps
         lo_of = [0] * n
         k_of = [0] * n
         W_of: list = [None] * n
         sl_of: list = [None] * n
         sr_of: list = [None] * n
-        el_of = [0] * n
-        er_of = [0] * n
         ext_idx: list = [None] * n
         vec = [False] * n
         busy = [False] * n
@@ -381,12 +389,9 @@ class DenseExecutor:
             sl = [0] * k
             sr = [0] * k
             for i in range(k):
-                c = lo + i
-                a, b = dep_map[c] if dep_map is not None else (c - 1, c + 1)
+                a, b = deps(lo + i)
                 sl[i] = a - lo if lo <= a <= hi else idx.get(a, virt)
                 sr[i] = b - lo if lo <= b <= hi else idx.get(b, virt)
-            el_of[p] = idx.get(lo - 1, virt)
-            er_of[p] = idx.get(hi + 1, virt)
             if k >= _VEC_MIN_COLS:
                 w = np.array(w, dtype=np.int64)
                 sl = np.asarray(sl, dtype=np.intp)
@@ -395,9 +400,7 @@ class DenseExecutor:
             W_of[p] = w
             sl_of[p] = sl
             sr_of[p] = sr
-        self._layout = (
-            W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of, el_of, er_of, vec
-        )
+        self._layout = (W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of, vec)
 
     # -- values (computed once, vectorised) -----------------------------
     def _guest_values(self):
@@ -408,129 +411,66 @@ class DenseExecutor:
         finishes reproduces exactly these values (that is what
         :mod:`repro.core.verify` checks), so one reference-style pass
         serves all replicas.
-        """
-        if self._relabelled:
-            return self._guest_values_relabelled()
-        m, T, prog = self.m, self.T, self.program
-        guest = GuestArray(m, prog)
-        if prog.supports_vector:
-            grid = guest.boundary_grid(T)
-            states = prog.init_state_vec(m)
-            # Database digest chain: seed tag_s(0xDB, col) then one
-            # mix2 per update — vectorised across columns per row.
-            from repro.machine.guest import _DB_SEED
 
-            db_digests = mix2_v(
-                np.uint64(_DB_SEED), np.arange(1, m + 1, dtype=np.uint64)
-            )
-            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
-            for t in range(1, T + 1):
-                prev = grid[t - 1]
-                values, updates = prog.compute_row_vec(
-                    t, states, prev[0:m], prev[1 : m + 1], prev[2 : m + 2]
-                )
-                grid[t, 1 : m + 1] = values
-                states = prog.apply_vec(states, updates)
-                db_digests = mix2_v(db_digests, updates)
-                folds = mix2_v(folds, values)
-            return (
-                [int(v) for v in folds],
-                [int(d) for d in db_digests],
-                [int(s) for s in np.asarray(states, dtype=np.uint64)],
-            )
-        return self._guest_values_scalar()
-
-    def _guest_values_relabelled(self):
-        """The relabelled-guest (``dep_map``/``col_label``) value pass.
-
-        Column ``c`` runs program identity ``col_label(c)`` and reads
-        its lateral sources through ``dep_map`` — ring simulations wire
-        fold-embedded neighbours this way.  No program's ``compute``
-        depends on the column index except through its per-column
-        initial state, so the recurrence vectorises with fancy-indexed
-        gathers and label-permuted initial states whenever the labels
-        stay inside ``1..m`` (rings: a permutation).
+        Column ``c`` runs program identity ``col_label(c)`` and gathers
+        its lateral sources ``_deps(c)`` from the previous row padded
+        with the boundary pebbles at indices ``0`` and ``m + 1``: a
+        line's edge columns read them, a folded ring's never do.  No
+        program's ``compute`` depends on the column index except
+        through its per-column initial state, so the recurrence
+        vectorises with label-permuted initial states whenever the
+        labels stay inside ``1..m``.
         """
         m, T, prog = self.m, self.T, self.program
-        label = self.col_label
-        labels = [label(c) for c in range(1, m + 1)]
-        dep_map = self.dep_map
-        if (
-            prog.supports_vector
-            and dep_map is not None
-            and all(1 <= lb <= m for lb in labels)
-        ):
-            from repro.machine.guest import _DB_SEED
-            from repro.machine.pebbles import initial_value
-
-            lab_idx = np.array(labels, dtype=np.intp) - 1
-            lab_u = np.array(labels, dtype=np.uint64)
-            dep_l = np.array(
-                [dep_map[c][0] - 1 for c in range(1, m + 1)], dtype=np.intp
+        labels = [self.col_label(c) for c in range(1, m + 1)]
+        deps = [self._deps(c) for c in range(1, m + 1)]
+        edges = [
+            (boundary_value(BOUNDARY_LEFT, t), boundary_value(BOUNDARY_RIGHT, t))
+            for t in range(T)
+        ]
+        if not prog.supports_vector or not all(1 <= lb <= m for lb in labels):
+            return self._guest_values_scalar(labels, deps, edges)
+        dep_l = np.array([a for a, _ in deps], dtype=np.intp)
+        dep_r = np.array([b for _, b in deps], dtype=np.intp)
+        edges_v = np.array(edges, dtype=np.uint64).reshape(T, 2)
+        lab = np.array(labels, dtype=np.uint64)
+        states = prog.init_state_vec(m)[lab.astype(np.intp) - 1]
+        db_digests = mix2_v(np.uint64(_DB_SEED), lab)
+        folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
+        row = np.array([initial_value(lb) for lb in labels], dtype=np.uint64)
+        for t in range(1, T + 1):
+            pad = np.concatenate((edges_v[t - 1, :1], row, edges_v[t - 1, 1:]))
+            row, updates = prog.compute_row_vec(
+                t, states, pad[dep_l], row, pad[dep_r]
             )
-            dep_r = np.array(
-                [dep_map[c][1] - 1 for c in range(1, m + 1)], dtype=np.intp
-            )
-            states = prog.init_state_vec(m)[lab_idx]
-            db_digests = mix2_v(np.uint64(_DB_SEED), lab_u)
-            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
-            prev = np.array([initial_value(lb) for lb in labels], dtype=np.uint64)
-            for t in range(1, T + 1):
-                values, updates = prog.compute_row_vec(
-                    t, states, prev[dep_l], prev, prev[dep_r]
-                )
-                states = prog.apply_vec(states, updates)
-                db_digests = mix2_v(db_digests, updates)
-                folds = mix2_v(folds, values)
-                prev = values
-            return (
-                [int(v) for v in folds],
-                [int(d) for d in db_digests],
-                [int(s) for s in np.asarray(states, dtype=np.uint64)],
-            )
-        return self._guest_values_scalar()
-
-    def _guest_values_scalar(self):
-        """Scalar fallback (structured database state or labels outside
-        ``1..m``): one direct guest execution — still one compute per
-        pebble total, instead of one per *replica* pebble."""
-        m, T, prog = self.m, self.T, self.program
-        from repro.machine.mixing import mix2_s
-        from repro.machine.pebbles import (
-            BOUNDARY_LEFT,
-            BOUNDARY_RIGHT,
-            boundary_value,
-            initial_value,
+            states = prog.apply_vec(states, updates)
+            db_digests = mix2_v(db_digests, updates)
+            folds = mix2_v(folds, row)
+        return (
+            [int(v) for v in folds],
+            [int(d) for d in db_digests],
+            [int(s) for s in np.asarray(states, dtype=np.uint64)],
         )
 
-        label = self.col_label
-        labels = [label(c) for c in range(1, m + 1)]
-        deps = self._deps
+    def _guest_values_scalar(self, labels, deps, edges):
+        """Scalar fallback (structured database state or labels outside
+        ``1..m``) over the same padded rows: one direct guest execution
+        — still one compute per pebble total, instead of one per
+        *replica* pebble."""
+        m, T, prog = self.m, self.T, self.program
         dbs = [Database(lb, prog.init_state(lb)) for lb in labels]
         row = [initial_value(lb) for lb in labels]
         folds = [FOLD_SEED] * m
         for t in range(1, T + 1):
-            left_b = boundary_value(BOUNDARY_LEFT, t - 1)
-            right_b = boundary_value(BOUNDARY_RIGHT, t - 1)
-            new_row = [0] * m
+            pad = [edges[t - 1][0], *row, edges[t - 1][1]]
             pending = [0] * m
-            for i in range(m):
-                src_l, src_r = deps(i + 1)
-                left = row[src_l - 1] if 1 <= src_l <= m else (
-                    left_b if src_l < 1 else right_b
+            for i, (a, b) in enumerate(deps):
+                row[i], pending[i] = prog.compute(
+                    labels[i], t, dbs[i].state, pad[a], pad[i + 1], pad[b]
                 )
-                right = row[src_r - 1] if 1 <= src_r <= m else (
-                    left_b if src_r < 1 else right_b
-                )
-                value, update = prog.compute(
-                    labels[i], t, dbs[i].state, left, row[i], right
-                )
-                new_row[i] = value
-                pending[i] = update
-                folds[i] = mix2_s(folds[i], value)
+                folds[i] = mix2_s(folds[i], row[i])
             for i in range(m):
                 dbs[i].apply(prog, pending[i])
-            row = new_row
         return (
             folds,
             [db.digest for db in dbs],
@@ -572,8 +512,7 @@ class DenseExecutor:
                 c: set(ps) for c, ps in self.assignment.owners().items()
             }
         self._build_layout()
-        (W_of, busy, lo_of, k_of, ext_idx,
-         sl_of, sr_of, el_of, er_of, vec) = self._layout
+        W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of, vec = self._layout
         remaining = sum(k_of[p] for p in self.used) * T
         if not remaining:
             if racing:
@@ -588,7 +527,6 @@ class DenseExecutor:
                 # including the span left open at capture time.
                 tl.load_snapshot(ck.telemetry)
 
-        line = self.dep_map is None
         subscribers_get = self.subscribers.get
         raced = self._raced
         # Directed-link occupancy: the LinkPipe slot rule's state as
@@ -690,34 +628,6 @@ class DenseExecutor:
                 if wt >= T:
                     return
                 best_t = wt + 1
-            elif line:
-                # Line adjacency: own column i depends on own i-1/i+1
-                # except at the range edges, which read the external
-                # (or virtual) watermark slots directly.
-                k1 = k_of[p] - 1
-                eli = el_of[p]
-                eri = er_of[p]
-                best_t = T + 1
-                best_i = -1
-                for i in range(k1 + 1):
-                    wt = w[i]
-                    t = wt + 1
-                    if t > T or t >= best_t:
-                        continue
-                    if i > 0:
-                        if w[i - 1] < wt:
-                            continue
-                    elif w[eli] < wt:
-                        continue
-                    if i < k1:
-                        if w[i + 1] < wt:
-                            continue
-                    elif w[eri] < wt:
-                        continue
-                    best_t = t
-                    best_i = i
-                if best_i < 0:
-                    return
             else:
                 sl = sl_of[p]
                 sr = sr_of[p]
@@ -818,8 +728,7 @@ class DenseExecutor:
             self._dead = set(ck.dead)
             if ck.reassign_dead is not None:
                 self._adopt(self._reassign(ck.reassign_dead), ck.reassign_dead)
-                (W_of, busy, lo_of, k_of, ext_idx,
-                 sl_of, sr_of, el_of, er_of, vec) = self._layout
+                W_of, busy, lo_of, k_of, ext_idx, sl_of, sr_of, vec = self._layout
                 raced = self._raced
             # Retry re-subscriptions mutate the provider lists in
             # place, so the snapshot's lists are authoritative over the
@@ -980,7 +889,7 @@ class DenseExecutor:
                         remaining = left
                         epoch = self._epoch
                         (W_of, busy, lo_of, k_of, ext_idx,
-                         sl_of, sr_of, el_of, er_of, vec) = self._layout
+                         sl_of, sr_of, vec) = self._layout
                         subscribers_get = self.subscribers.get
                         raced = self._raced
                 elif kind == _RESUME:

@@ -34,6 +34,7 @@ from repro.machine.programs import (
     KeyedStoreProgram,
     LedgerProgram,
     get_program,
+    list_programs,
 )
 from repro.netsim.faults import FaultPlan
 from repro.topology.delays import scale_to_average, uniform_delays
@@ -122,6 +123,7 @@ E1_GRID = [
     (40, 3.0, 8, 1, None, 2, 7),  # min_copies=2: multi-subscriber streams
     (40, 5.0, 12, 3, None, None, 8),
     (56, 2.0, 6, 1, 2, None, 9),
+    (24, 3.0, 6, 16, None, None, 21),  # block 16: wide (numpy-scan) positions
 ]
 
 
@@ -144,6 +146,7 @@ E3_GRID = [
     (8, 64, 16, None),
     (10, 36, 12, None),
     (12, 9, 6, 2),
+    (8, 144, 8, None),  # wide blocks: the numpy ready scan
 ]
 
 
@@ -206,6 +209,9 @@ RING_GRID = [
     (64, 32, 6.0, 8, "hashchain", 1, None, 18),
     (24, 24, 2.0, 0, "counter", 1, None, 19),  # zero-step ring run
     (16, 5, 2.0, 5, "counter", 1, None, 20),  # odd-size ring fold
+    # 32 columns per position: the numpy ready scan over a folded ring
+    (8, 256, 3.0, 6, "counter", 1, None, 22),
+    (8, 256, 3.0, 6, "relax", 2, 2, 23),
 ]
 
 
@@ -390,10 +396,10 @@ def test_differential_single_column_guest():
     assert_bit_identical(host, assignment, CounterProgram(), 6)
 
 
-@pytest.mark.parametrize("prog_name", ["ledger", "keyed", "hashchain", "token"])
+@pytest.mark.parametrize("prog_name", list_programs())
 def test_differential_program_zoo(prog_name):
     # ledger/keyed exercise the scalar (structured-state) value path;
-    # hashchain/token the vectorised one with different mixing.
+    # every other program the vectorised one on a line's padded rows.
     host = _random_host(24, 3.0, 13)
     killing = kill_and_label(host)
     assignment = assign_databases(killing, 1)

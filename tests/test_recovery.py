@@ -55,6 +55,24 @@ def test_scattered_quarter_kill_completes_verified():
     assert not dead_held  # crashed nodes hold nothing in the final epoch
 
 
+@pytest.mark.parametrize("rate", [0.05, 0.15])
+def test_random_crash_rate_slows_a_verified_run(rate):
+    host = HostArray.uniform(64)
+    clean = simulate_overlap(host, steps=10, min_copies=2)
+    plan = FaultPlan.random(
+        host.n,
+        seed=1996,
+        horizon=max(8, clean.exec_result.stats.makespan),
+        node_crash_rate=rate,
+    )
+    res = simulate_overlap(
+        host, steps=10, min_copies=2, faults=plan, verify=True
+    )
+    assert res.verified
+    assert res.m_surviving < res.m  # crashes really hit database holders
+    assert res.slowdown > clean.slowdown  # recovery costs host time
+
+
 def test_killing_all_replicas_of_interval_deadlocks_with_diagnostics():
     host = _host()
     base = simulate_overlap(host, steps=STEPS, min_copies=2)
