@@ -1,17 +1,20 @@
 """The paper's claims: every registered experiment, run once and gated.
 
-One case per id in :func:`repro.experiments.list_experiments`.  Each
-case runs the experiment once in quick mode under ``pytest-benchmark``
-(``pedantic`` mode — these are end-to-end simulations, not
-microbenchmarks), prints the paper-style table and writes it to
-``results/<id>.txt``, then asserts that every boolean summary key is
-True and that every numeric bound in :data:`BOUNDS` holds.
-Registering an experiment is enough to gate it; a numeric check is one
-more row in the table.
+Two cases per id in :func:`repro.experiments.list_experiments`, one in
+quick mode (``<id>-quick``) and one in full mode (``<id>-full``).  Each
+case runs the experiment once under ``pytest-benchmark`` (``pedantic``
+mode — these are end-to-end simulations, not microbenchmarks), prints
+the paper-style table, then asserts that every boolean summary key is
+True and that every numeric bound in :data:`BOUNDS` holds.  A quick
+case also writes its table to ``results/<id>.txt``.  Registering an
+experiment is enough to gate it; a numeric check is one more row in the
+table.
 
-CI runs this module with ``--benchmark-disable`` and then, on Python
-3.11, ``git diff --exit-code results/``, so a change to any committed
-table fails even when every shape check still passes.
+CI runs this module with ``--benchmark-disable -k quick`` and then, on
+Python 3.11, ``git diff --exit-code results/``, so a change to any
+committed table fails even when every shape check still passes.  The
+3.11 entry also runs ``-k full`` (about 36 s on a 2-core VM), so the
+claims are gated on the full grids as well.
 """
 
 from __future__ import annotations
@@ -73,15 +76,17 @@ _OPS = {
 }
 
 
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
 @pytest.mark.parametrize("exp_id", list_experiments())
-def test_claims(benchmark, exp_id):
+def test_claims(benchmark, exp_id, quick):
     assert BOUNDS.keys() <= set(list_experiments()), "bound for an unknown id"
     run = get_experiment(exp_id)
-    result = benchmark.pedantic(run, kwargs={"quick": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, kwargs={"quick": quick}, rounds=1, iterations=1)
     summary = result.summary
     benchmark.extra_info.update({k: str(v) for k, v in summary.items()})
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{exp_id}.txt").write_text(result.render() + "\n")
+    if quick:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{exp_id}.txt").write_text(result.render() + "\n")
     print()
     result.print()
     for key, value in summary.items():

@@ -100,6 +100,25 @@ def _reject_non_finite(value, where: str) -> None:
     )
 
 
+#: Encoders that reject NaN/Infinity, built once: ``json.dumps`` with
+#: any non-default option builds a new encoder on every call.
+_STRICT = json.JSONEncoder(allow_nan=False)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _dumps(value, where: str, encoder: json.JSONEncoder = _STRICT) -> str:
+    """``encoder.encode(value)`` whose errors name ``where``: a
+    NaN/Infinity is a :class:`ValueError` naming its key path, a
+    non-JSON type a :class:`TypeError`."""
+    try:
+        return encoder.encode(value)
+    except ValueError:
+        _reject_non_finite(value, where)
+        raise  # some other encoding error (e.g. circular reference)
+    except TypeError as exc:
+        raise TypeError(f"{where} is not JSON-serialisable: {exc}") from exc
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace).
 
@@ -111,13 +130,7 @@ def canonical_json(value) -> str:
     ``NaN``/``Infinity`` tokens are not JSON, so letting them through
     would bake non-portable text into cache keys and stored results.
     """
-    try:
-        return json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
-    except ValueError:
-        _reject_non_finite(value, "value")
-        raise  # some other encoding error (e.g. circular reference)
+    return _dumps(value, "value", _CANONICAL)
 
 
 def config_hash(task: str, version: str, config: dict) -> str:
@@ -250,11 +263,7 @@ class SweepCache:
 
     def _write(self, path: pathlib.Path, value, where: str) -> None:
         """Serialise ``value`` and atomically rename it into place."""
-        try:
-            text = json.dumps(value, allow_nan=False)
-        except ValueError:
-            _reject_non_finite(value, where)
-            raise
+        text = _dumps(value, where)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -444,7 +453,7 @@ def _run_chunk(fn: Callable[[dict], object], payload: str, capture: bool) -> str
     outcomes leave the same way — a single pickled str each direction
     instead of one pickled dict per task, and the decode on the parent
     side doubles as the cache-equivalence JSON round-trip
-    (:meth:`SweepRunner._normalise`).  The envelope also carries the
+    (:meth:`SweepRunner._store_chunk`).  The envelope also carries the
     worker's pid and the chunk's compute wall time, which the parent
     feeds to an attached :class:`~repro.telemetry.profile.SweepProfile`
     (two clock reads per *chunk*, so the un-profiled path pays nothing
@@ -457,15 +466,7 @@ def _run_chunk(fn: Callable[[dict], object], payload: str, capture: bool) -> str
         "pid": os.getpid(),
         "wall": time.perf_counter() - t0,
     }
-    try:
-        return json.dumps(envelope, allow_nan=False)
-    except ValueError:
-        _reject_non_finite(out, "sweep task result")
-        raise
-    except TypeError as exc:
-        raise TypeError(
-            f"sweep task returned a non-JSON-serialisable result: {exc}"
-        ) from exc
+    return _dumps(envelope, "sweep task result")
 
 
 def _match_delta(spec, cands: list[dict], cfg: dict):
@@ -623,9 +624,9 @@ class SweepRunner:
     profile:
         Attach a :class:`~repro.telemetry.profile.SweepProfile` that
         accumulates wall-time attribution (per worker/chunk, cache-hit
-        vs recompute) across every :meth:`map` call this runner serves;
-        read it back from :attr:`profile`.  Off by default — the
-        un-profiled path takes no extra clock reads.
+        vs recompute) across every :meth:`map` and :meth:`submit` call
+        this runner serves; read it back from :attr:`profile`.  Off by
+        default — the un-profiled path takes no extra clock reads.
     """
 
     def __init__(
@@ -636,7 +637,6 @@ class SweepRunner:
         stream=None,
         profile: bool = False,
         delta: bool = True,
-        delta_strict: bool = False,
         cache_limit: int | None = None,
     ) -> None:
         self.workers = max(1, int(workers or 1))
@@ -650,9 +650,6 @@ class SweepRunner:
         #: Use cached-neighbour checkpoints for delta-aware tasks
         #: (:mod:`repro.delta`); ``False`` forces full recomputes.
         self.delta = delta
-        #: Raise instead of silently recomputing when a matched
-        #: checkpoint cannot be restored (differential test mode).
-        self.delta_strict = delta_strict
         if profile:
             from repro.telemetry.profile import SweepProfile
 
@@ -704,15 +701,14 @@ class SweepRunner:
         ``submit`` dispatches **one** config and immediately returns a
         :class:`SubmitTicket` whose ``future`` resolves to the result —
         the submit path a long-lived asyncio front-end
-        (:class:`repro.service.SimulationService`) needs.  The full
-        :meth:`map` semantics apply per config: cache lookup first
-        (a hit returns an already-resolved ticket, ``origin="cache"``),
-        then a delta-neighbour match for delta-aware tasks
-        (``origin="delta"``, replayed on a thread), then a full compute
-        (``origin="compute"``) on the persistent process pool when
-        ``workers > 1``, else on a fallback thread.  Results are JSON
-        round-tripped and written to the cache exactly as ``map``
-        writes them, so the two paths share entries bit-for-bit.
+        (:class:`repro.service.SimulationService`) needs.  The config
+        takes :meth:`map`'s route (:meth:`_route`): a disk hit returns
+        an already-resolved ticket (``origin="cache"``), a delta match
+        replays the suffix on a thread (``origin="delta"``), and a full
+        compute (``origin="compute"``) runs on the persistent process
+        pool when ``workers > 1``, else on a thread.  Each origin is
+        served by the same helper :meth:`map` uses, so the two paths
+        write the same cache bytes and profile records.
 
         Cache writes and profile records run on the completing
         worker/callback thread; :class:`SweepCache` writes are
@@ -721,70 +717,33 @@ class SweepRunner:
         """
         from concurrent.futures import Future
 
-        key, cfg = self.prepare(fn, config, version, seed_key)
+        item = self.prepare(fn, config, version, seed_key)
         tag = f"{fn.__module__}:{fn.__qualname__}"
-        prof = self.profile
-        t0 = time.perf_counter() if prof is not None else 0.0
-        cached = self.cache.get(key) if self.cache is not None else None
-        if prof is not None:
-            prof.record_cache(
-                int(cached is not None),
-                int(cached is None),
-                time.perf_counter() - t0,
-            )
+        [(origin, detail)] = self._route(fn, [item], tag, version)
         out: Future = Future()
-        if cached is not None:
-            out.set_result(cached)
-            return SubmitTicket(key, "cache", out)
-
-        spec = getattr(fn, "__delta__", None)
-        capture = spec is not None and self.cache is not None
-        if capture and self.delta:
-            cands = self.cache.delta_candidates(tag, version)
-            match = _match_delta(spec, cands, cfg) if cands else None
-            if match is not None:
-                cand, ckm = match
-
-                def _replay():
-                    blobs = self.cache.load_checkpoints(cand["key"])
-                    oc = self._replay_one(fn, cand, ckm, cfg, blobs)
-                    self._store(key, cfg, oc["result"], oc["payload"], tag, version)
-                    if prof is not None:
-                        prof.record_delta(
-                            int(oc["hit"]), int(not oc["hit"]), oc["frac"]
-                        )
-                    return oc["result"]
-
-                inner = _get_threads().submit(_replay)
-                _chain_future(inner, out)
-                return SubmitTicket(key, "delta", out, inner)
-
-        if self.workers > 1:
+        if origin == "cache":
+            out.set_result(detail)
+            return SubmitTicket(item[0], origin, out)
+        if origin == "delta":
+            inner = _get_threads().submit(
+                self._serve_delta, fn, item, detail, {}, tag, version
+            )
+            _chain_future(inner, out, lambda served: served[0])
+        elif self.workers > 1:
+            # One pool task per config: routing pool work through a
+            # submit thread would cap in-flight computes at its size.
             pool, _ = _get_pool(self.workers)
-            inner = pool.submit(_run_chunk, fn, canonical_json([cfg]), capture)
-
-            def _stored(raw: str):
-                envelope = json.loads(raw)
-                result, delta = envelope["outcomes"][0]
-                self._store(key, cfg, result, delta, tag, version)
-                if prof is not None:
-                    prof.record_chunk(envelope["pid"], 1, envelope["wall"])
-                return result
-
-            _chain_future(inner, out, _stored)
-            return SubmitTicket(key, "compute", out, inner)
-
-        def _compute():
-            t1 = time.perf_counter()
-            result, delta = self._run_inline(fn, cfg, capture)
-            self._store(key, cfg, result, delta, tag, version)
-            if prof is not None:
-                prof.record_inline(time.perf_counter() - t1)
-            return result
-
-        inner = _get_threads().submit(_compute)
-        _chain_future(inner, out)
-        return SubmitTicket(key, "compute", out, inner)
+            payload = canonical_json([item[1]])
+            inner = pool.submit(_run_chunk, fn, payload, self._captures(fn))
+            _chain_future(
+                inner, out, lambda raw: self._store_chunk(raw, [item], tag, version)[0]
+            )
+        else:
+            inner = _get_threads().submit(
+                self._compute_inline, fn, item, tag, version
+            )
+            _chain_future(inner, out)
+        return SubmitTicket(item[0], origin, out, inner)
 
     def map(
         self,
@@ -799,127 +758,88 @@ class SweepRunner:
         semantics change so stale entries are ignored.  ``seed_key``
         opts into the seeding contract: any config missing that key
         gets ``config_seed(config)`` injected under it before the task
-        (or the cache) sees it.
+        (or the cache) sees it.  Each config is stored as soon as it is
+        served, so a config that raises leaves the ones served before
+        it cached.
         """
         tag = f"{fn.__module__}:{fn.__qualname__}"
-        prepared = [self.prepare(fn, cfg, version, seed_key) for cfg in configs]
-        keys = [key for key, _ in prepared]
-        configs = [cfg for _, cfg in prepared]
+        items = [self.prepare(fn, cfg, version, seed_key) for cfg in configs]
 
         t0 = time.perf_counter()
-        results: list = [None] * len(configs)
-        pending: list[int] = []
-        hits = 0
         prog = (
-            ProgressMeter(len(configs), fn.__qualname__.lstrip("_"), self.stream)
+            ProgressMeter(len(items), fn.__qualname__.lstrip("_"), self.stream)
             if self.progress
             else None
         )
-        prof = self.profile
-        lookup_t0 = time.perf_counter() if prof is not None else 0.0
-        for i, key in enumerate(keys):
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                results[i] = cached
+        routes = self._route(fn, items, tag, version)
+        results = [detail if origin == "cache" else None for origin, detail in routes]
+        hits = delta_hits = fallbacks = 0
+        replayed: list[float] = []
+        pending: list[int] = []
+        # One-knob grids typically match every edit against the same
+        # base entry; decode its sidecar once per map, not once per edit.
+        sidecars: dict[str, list] = {}
+        for i, (origin, detail) in enumerate(routes):
+            if origin == "cache":
                 hits += 1
                 if prog:
                     prog.step(cached=True)
+            elif origin == "delta":
+                results[i], hit, frac = self._serve_delta(
+                    fn, items[i], detail, sidecars, tag, version
+                )
+                delta_hits += hit
+                fallbacks += not hit
+                if frac is not None:
+                    replayed.append(frac)
+                if prog:
+                    prog.step(delta=hit)
             else:
                 pending.append(i)
-        lookup_s = (
-            time.perf_counter() - lookup_t0 if prof is not None else 0.0
-        )
 
-        self.last_chunk_size = 0
-        self.last_pool_reused = False
-        self.last_delta_hits = 0
-        self.last_delta_fallbacks = 0
-        self.last_replayed_fraction = None
+        chunk, reused = 0, False
+        if self.workers == 1 or len(pending) == 1:
+            for i in pending:
+                results[i] = self._compute_inline(fn, items[i], tag, version)
+                if prog:
+                    prog.step()
+        elif pending:
+            from concurrent.futures import as_completed
 
-        # Delta matching: a task carrying a DeltaSpec (repro.delta) can
-        # satisfy a miss from a cached *neighbour* — an entry differing
-        # only in delta-eligible keys — by restoring the latest
-        # checkpoint strictly before the edit's blast radius and
-        # replaying just the suffix.
-        spec = getattr(fn, "__delta__", None)
-        capture = spec is not None and self.cache is not None
-        delta_jobs: dict[int, tuple[dict, dict]] = {}
-        if capture and self.delta and pending:
-            cands = self.cache.delta_candidates(tag, version)
-            if cands:
-                for i in pending:
-                    match = _match_delta(spec, cands, configs[i])
-                    if match is not None:
-                        delta_jobs[i] = match
-                pending = [i for i in pending if i not in delta_jobs]
-        if delta_jobs:
-            self._run_delta_jobs(
-                fn, delta_jobs, configs, keys, results, tag, version, prog
-            )
-
-        if pending:
-            deltas: dict[int, dict | None] = {}
-            if self.workers == 1 or len(pending) == 1:
-                inline_t0 = time.perf_counter() if prof is not None else 0.0
-                for i in pending:
-                    results[i], deltas[i] = self._run_inline(fn, configs[i], capture)
+            # Chunk size scales with the grid so a sweep issues
+            # ~_CHUNKS_PER_WORKER chunks per worker regardless of grid
+            # length (one task per submit was pure overhead).
+            chunk = max(1, -(-len(pending) // (self.workers * _CHUNKS_PER_WORKER)))
+            pool, reused = _get_pool(self.workers)
+            capture = self._captures(fn)
+            futures = {}
+            for start in range(0, len(pending), chunk):
+                idxs = pending[start : start + chunk]
+                payload = canonical_json([items[i][1] for i in idxs])
+                futures[pool.submit(_run_chunk, fn, payload, capture)] = idxs
+            for fut in as_completed(futures):
+                idxs = futures[fut]
+                served = self._store_chunk(
+                    fut.result(), [items[i] for i in idxs], tag, version
+                )
+                for i, result in zip(idxs, served):
+                    results[i] = result
                     if prog:
                         prog.step()
-                if prof is not None:
-                    prof.record_inline(time.perf_counter() - inline_t0)
-            else:
-                from concurrent.futures import FIRST_COMPLETED, wait
-
-                # Chunk size scales with the grid so a sweep issues
-                # ~_CHUNKS_PER_WORKER chunks per worker regardless of
-                # grid length (one task per submit was pure overhead).
-                chunk = max(
-                    1,
-                    -(-len(pending) // (self.workers * _CHUNKS_PER_WORKER)),
-                )
-                self.last_chunk_size = chunk
-                pool, reused = _get_pool(self.workers)
-                self.last_pool_reused = reused
-                futures = {}
-                for start in range(0, len(pending), chunk):
-                    idxs = pending[start : start + chunk]
-                    payload = canonical_json([configs[i] for i in idxs])
-                    futures[pool.submit(_run_chunk, fn, payload, capture)] = idxs
-                not_done = set(futures)
-                while not_done:
-                    finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        # The chunk runner already JSON round-tripped
-                        # the outcomes, so the decode is the
-                        # normalisation.
-                        envelope = json.loads(fut.result())
-                        for i, (res, delta) in zip(
-                            futures[fut], envelope["outcomes"]
-                        ):
-                            results[i], deltas[i] = res, delta
-                            if prog:
-                                prog.step()
-                        if prof is not None:
-                            prof.record_chunk(
-                                envelope["pid"],
-                                len(futures[fut]),
-                                envelope["wall"],
-                            )
-            for i in pending:
-                self._store(keys[i], configs[i], results[i], deltas[i], tag, version)
 
         self.last_hits = hits
-        self.last_misses = len(pending) + self.last_delta_fallbacks
+        self.last_misses = len(items) - hits
         self.last_elapsed = time.perf_counter() - t0
+        self.last_chunk_size = chunk
+        self.last_pool_reused = reused
+        self.last_delta_hits = delta_hits
+        self.last_delta_fallbacks = fallbacks
+        self.last_replayed_fraction = (
+            sum(replayed) / len(replayed) if replayed else None
+        )
+        prof = self.profile
         if prof is not None:
-            prof.record_cache(hits, self.last_misses, lookup_s)
-            prof.record_map(
-                len(configs),
-                self.last_elapsed,
-                self.workers,
-                self.last_chunk_size,
-                self.last_pool_reused,
-            )
+            prof.record_map(len(items), self.last_elapsed, self.workers, chunk, reused)
             # Harvest per-step latency distributions from result rows
             # that carry them (hits, delta replays and recomputes alike
             # — the sweep distribution must not depend on cache state).
@@ -930,70 +850,67 @@ class SweepRunner:
                         prof.record_step_latency(samples)
         return results
 
-    def _run_delta_jobs(
-        self, fn, jobs, configs, keys, results, tag, version, prog
-    ) -> None:
-        """Execute matched delta jobs inline (suffix replays are cheap
-        by construction; shipping checkpoint blobs to workers is not).
+    def _route(self, fn, items: list, tag: str, version: str) -> list[tuple]:
+        """Where each prepared ``(key, cfg)`` in ``items`` is served from.
 
-        Each job restores its matched checkpoint under the new config
-        and replays the suffix; a checkpoint that does not decode or
-        that the executors decline (:class:`repro.delta.DeltaUnsupported`),
-        or missing blobs, falls back to a full capture — or raises
-        under ``delta_strict``.  The
-        cached entry gets a *merged* checkpoint set: the base entry's
-        blobs up to the restore point (still bit-valid for the new
-        config — they precede the blast radius) plus the suffix's own
-        captures, so the new entry serves future deltas as well as a
-        fully recomputed one.
+        One ``(origin, detail)`` per item: ``("cache", result)`` for a
+        disk hit; ``("delta", (candidate, manifest_entry))`` for a miss
+        that a cached neighbour — an entry differing only in
+        delta-eligible keys — can serve by restoring its latest
+        checkpoint before the edit's blast radius and replaying the
+        suffix (:func:`_match_delta`); else ``("compute", None)``.
+        Every disk lookup runs before the neighbour scan, so the
+        profile's lookup time covers lookups alone; a miss is any config
+        the disk did not serve, whichever origin then serves it.
         """
-        replayed: list[float] = []
-        hits = 0
-        fallbacks = 0
-        # One-knob grids typically match every edit against the same
-        # base entry; decode its sidecar once, not once per job.
-        sidecars: dict[str, list] = {}
-        for i in sorted(jobs):
-            cand, ckm = jobs[i]
-            if cand["key"] not in sidecars:
-                sidecars[cand["key"]] = self.cache.load_checkpoints(cand["key"])
-            oc = self._replay_one(fn, cand, ckm, configs[i], sidecars[cand["key"]])
-            results[i] = oc["result"]
-            if oc["hit"]:
-                hits += 1
-                if oc["frac"] is not None:
-                    replayed.append(oc["frac"])
-            else:
-                fallbacks += 1
-            self._store(keys[i], configs[i], results[i], oc["payload"], tag, version)
-            if prog:
-                prog.step(delta=oc["hit"])
-        self.last_delta_hits = hits
-        self.last_delta_fallbacks = fallbacks
-        if replayed:
-            self.last_replayed_fraction = sum(replayed) / len(replayed)
-        if self.profile is not None:
-            self.profile.record_delta(
-                hits, fallbacks, self.last_replayed_fraction
+        prof = self.profile
+        t0 = time.perf_counter() if prof is not None else 0.0
+        if self.cache is None:
+            found = [None] * len(items)
+        else:
+            found = [self.cache.get(key) for key, _ in items]
+        misses = [i for i, hit in enumerate(found) if hit is None]
+        if prof is not None:
+            prof.record_cache(
+                len(items) - len(misses), len(misses), time.perf_counter() - t0
             )
+        routes = [("cache", hit) for hit in found]
+        spec = getattr(fn, "__delta__", None)
+        cands = (
+            self.cache.delta_candidates(tag, version)
+            if misses and self.delta and self._captures(fn)
+            else None
+        )
+        for i in misses:
+            match = _match_delta(spec, cands, items[i][1]) if cands else None
+            routes[i] = ("compute", None) if match is None else ("delta", match)
+        return routes
 
-    def _replay_one(self, fn, cand, ckm, cfg: dict, blobs: list) -> dict:
-        """Serve one matched delta job; shared by :meth:`map` and
-        :meth:`submit`.
+    def _serve_delta(self, fn, item, match, sidecars: dict, tag: str, version: str):
+        """Serve one ``"delta"`` route; returns ``(result, hit, frac)``.
 
-        Restores ``cand``'s checkpoint ``ckm`` under the edited config
-        ``cfg`` and replays the suffix, falling back to a full capture
-        when the checkpoint is unusable (missing blob, or the executor
-        declines it) — or raising under ``delta_strict``.  Returns
-        ``{"result", "payload", "hit", "frac"}``: the normalised
-        result, the cache delta payload (the neighbour's still-valid
-        prefix blobs merged with the suffix's own captures), whether a
-        replay actually served it, and the replayed fraction of the
-        run's makespan (``None`` on fallback or unknown makespan).
+        Restores the matched checkpoint under the edited config and
+        replays the suffix, never on a worker process: a suffix replay
+        is cheap by construction, shipping checkpoint blobs to a worker
+        is not.  A missing blob, or a checkpoint the executors decline
+        (:class:`repro.delta.DeltaUnsupported`), falls back to a full
+        capture (``hit`` False).  The stored entry gets a
+        *merged* checkpoint set: the neighbour's blobs up to the restore
+        point (still bit-valid for the new config — they precede the
+        blast radius) plus the suffix's own captures, so it serves
+        future deltas as well as a fully recomputed entry would.
+        ``frac`` is the replayed fraction of the run's makespan
+        (``None`` on fallback or unknown makespan).  ``sidecars`` caches
+        decoded sidecars by entry key across the caller's replays.
         """
         from repro.core.checkpoint import ExecutorCheckpoint
         from repro.delta import DeltaUnsupported
 
+        key, cfg = item
+        cand, ckm = match
+        if cand["key"] not in sidecars:
+            sidecars[cand["key"]] = self.cache.load_checkpoints(cand["key"])
+        blobs = sidecars[cand["key"]]
         blob = next(
             (
                 b
@@ -1011,32 +928,58 @@ class SweepRunner:
                 )
             except DeltaUnsupported:
                 out = None
-        if out is None:
-            if self.delta_strict:
-                raise RuntimeError(
-                    "delta-strict: full recompute fallback for config "
-                    f"{cfg!r} (checkpoint t={ckm.get('time')} of "
-                    f"entry {cand['key'][:12]} unusable)"
-                )
-            result, payload = self._run_inline(fn, cfg, True)
-            return {"result": result, "payload": payload, "hit": False, "frac": None}
-        out.resumed_at = ckm.get("time")
-        result = self._normalise(out.result)
-        prefix = [b for b in blobs if b.get("time", 0) <= out.resumed_at]
-        payload = _delta_payload(
-            self._normalise(out.meta or {}), out.checkpoints, prefix
-        )
         frac = None
-        makespan = payload["meta"].get("makespan")
-        if isinstance(makespan, int) and makespan > 0:
-            frac = max(0.0, min(1.0, (makespan - out.resumed_at) / makespan))
-        return {"result": result, "payload": payload, "hit": True, "frac": frac}
+        if out is None:
+            result, payload = self._run_inline(fn, cfg)
+        else:
+            out.resumed_at = ckm.get("time")
+            result = self._normalise(out.result)
+            prefix = [b for b in blobs if b.get("time", 0) <= out.resumed_at]
+            payload = _delta_payload(
+                self._normalise(out.meta or {}), out.checkpoints, prefix
+            )
+            makespan = payload["meta"].get("makespan")
+            if isinstance(makespan, int) and makespan > 0:
+                frac = max(0.0, min(1.0, (makespan - out.resumed_at) / makespan))
+        self._store(key, cfg, result, payload, tag, version)
+        if self.profile is not None:
+            self.profile.record_delta(int(out is not None), int(out is None), frac)
+        return result, out is not None, frac
 
-    def _run_inline(self, fn, cfg: dict, capture: bool):
+    def _compute_inline(self, fn, item, tag: str, version: str):
+        """Serve one ``"compute"`` route in this thread and store it."""
+        key, cfg = item
+        t0 = time.perf_counter() if self.profile is not None else 0.0
+        result, delta = self._run_inline(fn, cfg)
+        if self.profile is not None:
+            self.profile.record_inline(time.perf_counter() - t0)
+        self._store(key, cfg, result, delta, tag, version)
+        return result
+
+    def _store_chunk(self, raw: str, items: list, tag: str, version: str) -> list:
+        """Serve ``items``' ``"compute"`` routes from their finished
+        :func:`_run_chunk` envelope: store each outcome and record the
+        chunk.  Returns the results in ``items`` order; the decode is
+        their JSON round trip."""
+        envelope = json.loads(raw)
+        results = []
+        for (key, cfg), (result, delta) in zip(items, envelope["outcomes"]):
+            self._store(key, cfg, result, delta, tag, version)
+            results.append(result)
+        if self.profile is not None:
+            self.profile.record_chunk(envelope["pid"], len(items), envelope["wall"])
+        return results
+
+    def _captures(self, fn) -> bool:
+        """Whether a full run of ``fn`` captures checkpoints: only a
+        delta-aware task's, and only when a cache will store them."""
+        return self.cache is not None and getattr(fn, "__delta__", None) is not None
+
+    def _run_inline(self, fn, cfg: dict):
         """:func:`_run_config` in this process on a copy of ``cfg``, with
         the result and delta metadata JSON round-tripped as a worker's
         are (checkpoint blobs go to the cache as they are)."""
-        result, delta = _run_config(fn, dict(cfg), capture)
+        result, delta = _run_config(fn, dict(cfg), self._captures(fn))
         result = self._normalise(result)
         if delta is not None:
             delta["meta"] = self._normalise(delta["meta"])
@@ -1058,17 +1001,7 @@ class SweepRunner:
     @staticmethod
     def _normalise(result):
         """JSON round-trip so fresh and cached results are identical."""
-        if result is None:
-            raise ValueError("sweep tasks must not return None (reserved for cache misses)")
-        try:
-            return json.loads(json.dumps(result, allow_nan=False))
-        except ValueError:
-            _reject_non_finite(result, "sweep task result")
-            raise
-        except TypeError as exc:
-            raise TypeError(
-                f"sweep task returned a non-JSON-serialisable result: {exc}"
-            ) from exc
+        return json.loads(_dumps(result, "sweep task result"))
 
 
 # -- ambient runner ------------------------------------------------------

@@ -6,15 +6,16 @@ A :class:`SweepProfile` attributes where a sweep's real time went:
   wall seconds it spent computing each chunk of configs, so imbalance
   (one straggler worker) is visible instead of averaged away;
 * **cache hit vs recompute** — how many configs were served from the
-  content-hash cache, how many were computed, and how long the cache
-  lookups themselves took.
+  content-hash cache, how many missed it (served by a delta suffix
+  replay or a full compute), and how long the cache lookups themselves
+  took.
 
 Profiles are purely observational: the runner records into one whether
 or not anyone reads it, but only when constructed with
 ``SweepRunner(profile=True)`` (or ``--telemetry`` on the CLI) — the
 default path allocates nothing and times nothing.  One profile
-accumulates across every ``map()`` call a runner serves, matching how
-experiments issue several sweeps per run.
+accumulates across every ``map()`` and ``submit()`` call a runner
+serves, matching how experiments issue several sweeps per run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class SweepProfile:
         #: one entry per worker chunk: {"pid", "configs", "wall_s"}
         self.chunks: list[dict] = []
         self.cache_hits = 0
+        #: configs the disk cache did not serve (delta replays included)
         self.cache_misses = 0
         self.cache_lookup_s = 0.0
         #: wall seconds computing configs inline (workers == 1 path)
@@ -39,7 +41,7 @@ class SweepProfile:
         self.delta_hits = 0
         #: matched delta jobs that fell back to a full recompute
         self.delta_fallbacks = 0
-        #: per-delta-hit replayed fraction of the run's makespan
+        #: replayed fraction of the run's makespan, one per delta hit
         self.delta_replayed: list[float] = []
         #: simulated per-step latency samples harvested from result rows
         #: that carry a ``step_latency_samples`` column (host steps, not
@@ -169,13 +171,13 @@ def format_profile(profile) -> str:
     ]
     hits = cache.get("hits", 0)
     misses = cache.get("misses", 0)
+    delta = profile.get("delta", {})
     if hits + misses:
         pct = 100.0 * hits / (hits + misses)
         lines.append(
-            f"  cache: {hits} hit / {misses} recompute "
+            f"  cache: {hits} hit / {misses - delta.get('hits', 0)} recompute "
             f"({pct:.0f}% hit rate, {cache.get('lookup_s', 0.0) * 1000:.1f}ms lookup)"
         )
-    delta = profile.get("delta", {})
     if delta.get("hits") or delta.get("fallbacks"):
         frac = delta.get("mean_replayed_fraction")
         frac_txt = f", {100.0 * frac:.0f}% of run replayed" if frac else ""

@@ -156,10 +156,11 @@ class ServiceMetrics:
           :class:`~repro.telemetry.profile.SweepProfile` of the
           runner the service submits to, used by *only* this service)
           — disk hits seen by the service equal the profile's cache
-          hits, and ``exec_delta + exec_compute`` equal its misses.
-          Valid on a quiescent service; a request cancelled in the
-          instant between runner dispatch and completion is counted in
-          ``exec_*`` by origin, so the cross-check still holds.
+          hits, and ``exec_delta + exec_compute + exec_abandoned``
+          equal its misses.  Valid on a quiescent service: an
+          execution every waiter abandoned moves from its origin's
+          ``exec_*`` counter to ``exec_abandoned``, so the cross-check
+          still holds.
         """
         total = self.completed + sum(self.shed.values()) + self.cancelled + self.failed
         if total != self.requests:

@@ -610,33 +610,21 @@ class TestDeltaRunner:
         assert runner.last_delta_hits == 0
         assert runner.last_misses == 1
 
-    def test_delta_strict_raises_when_blobs_missing(self, tmp_path):
+    def test_delta_strict_passes_on_clean_hits(self, tmp_path):
+        """A clean sidecar serves every edit by replay, with no silent
+        full-recompute fallback."""
         base = base_config(n=16, steps=8)
         runner = self._seed(tmp_path, base)
-        key = config_hash(_tag(), "1", base)
-        # Tear the sidecar: the entry's manifest still advertises
-        # restore points, but the blobs cannot be decoded.
-        runner.cache._ckpt_path(key).write_text("{torn", encoding="utf-8")
-        strict = SweepRunner(
-            cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
-        )
-        with pytest.raises(RuntimeError, match="delta-strict"):
-            strict.map(_edit_point, edit_grid(base, k=1))
-
-    def test_delta_strict_passes_on_clean_hits(self, tmp_path):
-        base = base_config(n=16, steps=8)
-        self._seed(tmp_path, base)
-        strict = SweepRunner(
-            cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
-        )
-        strict.map(_edit_point, edit_grid(base, k=2))
-        assert strict.last_delta_hits == 2
+        runner.map(_edit_point, edit_grid(base, k=2))
+        assert (runner.last_delta_hits, runner.last_delta_fallbacks) == (2, 0)
 
     def test_missing_blobs_fall_back_to_recompute(self, tmp_path):
         base = base_config(n=16, steps=8)
         edits = edit_grid(base, k=2)
         runner = self._seed(tmp_path, base)
         key = config_hash(_tag(), "1", base)
+        # Tear the sidecar: the entry's manifest still advertises
+        # restore points, but the blobs cannot be decoded.
         runner.cache._ckpt_path(key).write_text("{torn", encoding="utf-8")
         got = runner.map(_edit_point, edits)
         assert runner.last_delta_hits == 0
@@ -665,8 +653,7 @@ class TestDeltaRunner:
     @pytest.mark.parametrize("case", list(MALFORMED_BLOBS))
     def test_malformed_blobs_fall_back_to_recompute(self, tmp_path, case, mode):
         """A sidecar whose blobs do not decode is declined and
-        recomputed (or refused under ``delta_strict``), never crashes
-        the sweep."""
+        recomputed, never crashes the sweep."""
         base = base_config(n=16, steps=8)
         edits = edit_grid(base, k=2)
         runner = self._seed(tmp_path, base)
@@ -679,11 +666,6 @@ class TestDeltaRunner:
         ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
         want = ref.map(_edit_point, edits)
         if mode == "map":
-            strict = SweepRunner(
-                cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
-            )
-            with pytest.raises(RuntimeError, match="delta-strict"):
-                strict.map(_edit_point, edits)
             assert runner.map(_edit_point, edits) == want
             assert runner.last_delta_hits == 0
             assert runner.last_delta_fallbacks == len(edits)
@@ -710,11 +692,8 @@ class TestDeltaRunner:
         key = config_hash(_tag(), "1", base)
         runner.cache._path(key).unlink()
         runner.cache._ckpt_path(key).unlink()
-        strict = SweepRunner(
-            cache_dir=str(tmp_path / "delta"), delta=True, delta_strict=True
-        )
-        got = strict.map(_edit_point, [edit_b])
-        assert strict.last_delta_hits == 1
+        got = runner.map(_edit_point, [edit_b])
+        assert (runner.last_delta_hits, runner.last_delta_fallbacks) == (1, 0)
         ref = SweepRunner(cache_dir=str(tmp_path / "full"), delta=False)
         assert got == ref.map(_edit_point, [edit_b])
 

@@ -31,6 +31,12 @@ def _echo_seed(cfg: dict) -> dict:
     return {"seed": cfg["seed"]}
 
 
+def _raise_on_two(cfg: dict) -> dict:
+    if cfg["x"] == 2:
+        raise RuntimeError("task fails on x == 2")
+    return _square(cfg)
+
+
 class TestHashingAndSeeding:
     def test_canonical_json_is_key_order_invariant(self):
         assert canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
@@ -118,6 +124,16 @@ class TestSweepRunner:
     def test_non_serialisable_result_fails_loudly(self):
         with pytest.raises(TypeError):
             SweepRunner().map(lambda cfg: object(), [{"x": 1}])
+
+    def test_failing_config_keeps_what_finished_before_it(self, tmp_path):
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        configs = [{"x": x} for x in range(4)]
+        with pytest.raises(RuntimeError, match="x == 2"):
+            runner.map(_raise_on_two, configs)
+        stored = [
+            runner.cache.get(runner.prepare(_raise_on_two, cfg)[0]) for cfg in configs
+        ]
+        assert stored == [_square(configs[0]), _square(configs[1]), None, None]
 
 
 class TestCacheCollisions:
@@ -361,7 +377,7 @@ class TestOneRunPath:
         for mode in ("map", "submit"):
             for workers in (1, 2):
                 root = tmp_path / f"{mode}-{workers}"
-                runner = SweepRunner(workers=workers, cache_dir=root)
+                runner = SweepRunner(workers=workers, cache_dir=root, profile=True)
                 results, delta_served = [], 0
                 for configs in stages():
                     if mode == "map":
@@ -375,7 +391,15 @@ class TestOneRunPath:
                     p.relative_to(root).as_posix(): p.read_bytes()
                     for p in sorted(root.rglob("*.json"))
                 }
-                runs[mode, workers] = (results, files, delta_served)
+                prof = runner.profile
+                counts = (
+                    prof.cache_hits,
+                    prof.cache_misses,
+                    prof.delta_hits,
+                    prof.delta_fallbacks,
+                    len(prof.delta_replayed),
+                )
+                runs[mode, workers] = (results, files, delta_served, counts)
         first = runs["map", 1]
         for run in runs.values():
             assert run == first
@@ -383,5 +407,6 @@ class TestOneRunPath:
         if fn is x5._edit_point:
             assert first[2] == 3  # every edit replayed a suffix
             assert len(sidecars) == 5  # two bases and three edits
+            assert first[3] == (0, 5, 3, 0, 3)  # a replayed edit is a miss
         else:
             assert first[2] == 0 and not sidecars

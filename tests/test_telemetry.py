@@ -406,6 +406,8 @@ class TestSweepProfiling:
             assert "sweep profile: 1 sweep(s), 4 config(s)" in text
             assert "cache: 3 hit / 1 recompute" in text
             assert "pid 111" in text and "pid 222" in text
+        prof.record_delta(1, 0, 0.5)  # the one miss was a suffix replay
+        assert "cache: 3 hit / 0 recompute" in format_profile(prof)
 
     def test_run_experiment_attaches_profile_dict(self, tmp_path):
         from repro.experiments import run_experiment
